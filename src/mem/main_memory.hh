@@ -16,6 +16,8 @@
 #ifndef CPS_MEM_MAIN_MEMORY_HH
 #define CPS_MEM_MAIN_MEMORY_HH
 
+#include <algorithm>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -171,24 +173,26 @@ class MainMemory
     }
 
     /** Copies a program segment into memory. */
-    void
-    loadSegment(const Segment &seg)
-    {
-        for (size_t i = 0; i < seg.bytes.size(); ++i)
-            write8(seg.base + static_cast<Addr>(i), seg.bytes[i]);
-    }
+    void loadSegment(const Segment &seg) { loadBytes(seg.base, seg.bytes); }
 
-    /** Copies a raw byte vector to @p base. */
+    /** Copies a raw byte vector to @p base, one page lookup per page. */
     void
     loadBytes(Addr base, const std::vector<u8> &bytes)
     {
-        for (size_t i = 0; i < bytes.size(); ++i)
-            write8(base + static_cast<Addr>(i), bytes[i]);
+        size_t done = 0;
+        while (done < bytes.size()) {
+            Addr addr = base + static_cast<Addr>(done);
+            size_t offset = addr & kPageMask;
+            size_t n = std::min(bytes.size() - done, kPageBytes - offset);
+            std::memcpy(page(addr).data() + offset, bytes.data() + done, n);
+            done += n;
+        }
     }
 
   private:
     static constexpr unsigned kPageBits = 12;
-    static constexpr Addr kPageMask = (1u << kPageBits) - 1;
+    static constexpr size_t kPageBytes = size_t{1} << kPageBits;
+    static constexpr Addr kPageMask = kPageBytes - 1;
 
     using Page = std::vector<u8>;
 
@@ -204,7 +208,7 @@ class MainMemory
     {
         Page &p = pages_[addr >> kPageBits];
         if (p.empty())
-            p.resize(1u << kPageBits, 0);
+            p.resize(kPageBytes, 0);
         return p;
     }
 

@@ -4,11 +4,13 @@
  * direction predictor (per Table 2), branch target buffer, and return
  * address stack.
  *
- * The simulator is timing-directed along the correct path: on a
- * misprediction, fetch stalls until the branch resolves instead of
- * running the wrong path (a standard trace-driven approximation; the
- * penalty in cycles matches, wrong-path cache pollution is not
- * modelled).
+ * The simulator is timing-directed along the correct path: only
+ * correct-path instructions enter the pipelines. On a misprediction the
+ * front end reports where fetch would have gone (ControlOutcome::
+ * wrongPath); each pipeline then fetches straight-line from there until
+ * the branch resolves (simulateWrongPath in paths.hh), so wrong-path
+ * I-cache pollution and memory-channel occupancy are modelled, and
+ * correct-path fetch restarts after resolution.
  */
 
 #ifndef CPS_PIPELINE_FRONTEND_HH

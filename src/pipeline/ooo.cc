@@ -1,6 +1,8 @@
 #include "ooo.hh"
 
 #include <algorithm>
+#include <bit>
+#include <new>
 #include <optional>
 
 #include "common/watchdog.hh"
@@ -10,31 +12,31 @@ namespace cps
 
 OoOPipeline::OoOPipeline(const PipelineConfig &cfg, TraceSource &src,
                          FetchPath &fetch, DataPath &data, StatSet &stats)
-    : cfg_(cfg), src_(src), fetch_(fetch), data_(data),
-      frontend_(cfg.predictor, stats),
-      statInsns_(stats.scalar("pipeline.insns")),
-      statCycles_(stats.scalar("pipeline.cycles"))
-{
-    cps_assert(cfg.ruuSize >= cfg.width, "RUU smaller than machine width");
-    ruu_.resize(cfg.ruuSize);
-    fuFree_[kFuAlu].assign(cfg.numAlu, 0);
-    fuFree_[kFuMult].assign(cfg.numMult, 0);
-    fuFree_[kFuMem].assign(cfg.numMemPorts, 0);
-    fuFree_[kFuFpAlu].assign(cfg.numFpAlu, 0);
-    fuFree_[kFuFpMult].assign(cfg.numFpMult, 0);
-    regProducer_.fill(kNoSeq);
-}
+    : OoOPipeline(cfg, &src, nullptr, fetch, data, stats)
+{}
 
 OoOPipeline::OoOPipeline(const PipelineConfig &cfg, Executor &exec,
                          FetchPath &fetch, DataPath &data, StatSet &stats)
-    : cfg_(cfg), ownedSrc_(std::make_unique<LiveTraceSource>(exec)),
-      src_(*ownedSrc_), fetch_(fetch), data_(data),
-      frontend_(cfg.predictor, stats),
+    : OoOPipeline(cfg, nullptr, std::make_unique<LiveTraceSource>(exec),
+                  fetch, data, stats)
+{}
+
+OoOPipeline::OoOPipeline(const PipelineConfig &cfg, TraceSource *src,
+                         std::unique_ptr<LiveTraceSource> live,
+                         FetchPath &fetch, DataPath &data, StatSet &stats)
+    : cfg_(cfg), ownedSrc_(std::move(live)), src_(src ? *src : *ownedSrc_),
+      fetch_(fetch), data_(data), frontend_(cfg.predictor, stats),
       statInsns_(stats.scalar("pipeline.insns")),
       statCycles_(stats.scalar("pipeline.cycles"))
 {
     cps_assert(cfg.ruuSize >= cfg.width, "RUU smaller than machine width");
-    ruu_.resize(cfg.ruuSize);
+    const u64 ring = std::bit_ceil(u64{cfg.ruuSize});
+    ruu_.resize(ring);
+    ruuMask_ = ring - 1;
+    edgeNext_.resize(ring * kEdgesPerEntry);
+    const u64 store_ring = std::bit_ceil(u64{std::max(cfg.lsqSize, 1u)});
+    stores_.resize(store_ring);
+    storeMask_ = store_ring - 1;
     fuFree_[kFuAlu].assign(cfg.numAlu, 0);
     fuFree_[kFuMult].assign(cfg.numMult, 0);
     fuFree_[kFuMem].assign(cfg.numMemPorts, 0);
@@ -72,13 +74,21 @@ OoOPipeline::nonPipelined(InstClass cls) const
     return cls == InstClass::IntDiv || cls == InstClass::FpDiv;
 }
 
-bool
-OoOPipeline::producerDone(u64 seq, Cycle clock)
+void
+OoOPipeline::dependOn(u32 slot, u64 seq)
 {
-    if (seq == kNoSeq || seq < headSeq_)
-        return true; // never tracked, or already committed
-    const Entry &e = at(seq);
-    return e.issued && e.doneAt <= clock;
+    Entry &producer = at(seq);
+    Entry &consumer = ruu_[slot];
+    if (producer.issued) {
+        // Its completion cycle is already known.
+        consumer.readyAt = std::max(consumer.readyAt, producer.doneAt);
+        return;
+    }
+    // Nothing wakes the consumer while it is being dispatched, so its
+    // pending count is the number of its edges in use.
+    const u32 edge = slot * kEdgesPerEntry + consumer.pending++;
+    edgeNext_[edge] = producer.wakeHead;
+    producer.wakeHead = edge;
 }
 
 RunResult
@@ -91,12 +101,13 @@ OoOPipeline::run(u64 max_insns)
     std::optional<StepRecord> pending;
 
     headSeq_ = tailSeq_ = 0;
+    unissuedHead_ = unissuedTail_ = kNil;
+    storeHead_ = storeTail_ = 0;
     lsqCount_ = 0;
     regProducer_.fill(kNoSeq);
-    lastStoreToWord_.clear();
 
     auto ruu_empty = [&] { return headSeq_ == tailSeq_; };
-    auto ruu_full = [&] { return tailSeq_ - headSeq_ == ruu_.size(); };
+    auto ruu_full = [&] { return tailSeq_ - headSeq_ == cfg_.ruuSize; };
 
     // Livelock guard: the deadlock assert below catches a cycle that
     // cannot advance, but a bug where the clock advances forever with
@@ -136,7 +147,7 @@ OoOPipeline::run(u64 max_insns)
             if (trace_) {
                 OooTraceEntry t;
                 t.pc = e.pc;
-                t.inst = e.inst;
+                t.inst = *e.inst;
                 t.fetchedAt = e.fetchedAt;
                 t.issuedAt = e.issuedAt;
                 t.doneAt = e.doneAt;
@@ -145,8 +156,10 @@ OoOPipeline::run(u64 max_insns)
             }
             if (e.info->cls == InstClass::Store) {
                 // Stores update the cache at commit; the write buffer
-                // hides the latency from the core.
+                // hides the latency from the core. This is the oldest
+                // in-flight store, so it leaves the store FIFO.
                 data_.access(e.memAddr, true, clock);
+                ++storeHead_;
             }
             if (e.info->isMem)
                 --lsqCount_;
@@ -163,20 +176,19 @@ OoOPipeline::run(u64 max_insns)
             break;
 
         // -------------------------------------------------------- issue
+        // Oldest first over the unissued entries only. An entry is ready
+        // once all its producers have issued (pending == 0) and the
+        // latest of their results has arrived (readyAt <= clock).
         unsigned issued = 0;
-        for (u64 seq = headSeq_; seq < tailSeq_ && issued < cfg_.width;
-             ++seq) {
-            Entry &e = at(seq);
-            if (e.issued)
+        u32 prev = kNil;
+        u32 *link = &unissuedHead_;
+        while (*link != kNil && issued < cfg_.width) {
+            const u32 slot = *link;
+            Entry &e = ruu_[slot];
+            if (e.pending != 0 || e.readyAt > clock) {
+                prev = slot;
+                link = &e.nextUnissued;
                 continue;
-            if (!producerDone(e.src[0], clock) ||
-                !producerDone(e.src[1], clock) ||
-                !producerDone(e.src[2], clock)) {
-                continue;
-            }
-            if (e.info->cls == InstClass::Load &&
-                !producerDone(e.blockingStore, clock)) {
-                continue; // memory-order dependence on an older store
             }
 
             // Function-unit availability.
@@ -188,9 +200,15 @@ OoOPipeline::run(u64 max_insns)
                     break;
                 }
             }
-            if (!unit)
+            if (!unit) {
+                prev = slot;
+                link = &e.nextUnissued;
                 continue;
+            }
 
+            *link = e.nextUnissued; // off the unissued list
+            if (unissuedTail_ == slot)
+                unissuedTail_ = prev;
             e.issued = true;
             e.issuedAt = clock;
             ++issued;
@@ -204,6 +222,14 @@ OoOPipeline::run(u64 max_insns)
                 e.doneAt = clock + latency;
             }
             *unit = nonPipelined(e.info->cls) ? clock + latency : clock + 1;
+
+            // Wake the consumers. Every doneAt is past this cycle, so
+            // none of them becomes ready before the next one.
+            for (u32 edge = e.wakeHead; edge != kNil; edge = edgeNext_[edge]) {
+                Entry &c = ruu_[edge / kEdgesPerEntry];
+                c.readyAt = std::max(c.readyAt, e.doneAt);
+                --c.pending;
+            }
 
             if (e.mispredict) {
                 // Between now and resolution, fetch runs down the wrong
@@ -244,40 +270,51 @@ OoOPipeline::run(u64 max_insns)
             }
 
             // Dispatch into the RUU.
-            u64 seq = tailSeq_++;
-            Entry &e = at(seq);
-            e = Entry{};
+            const u64 seq = tailSeq_++;
+            const u32 slot = static_cast<u32>(seq & ruuMask_);
+            Entry &e = ruu_[slot];
+            // Built in place: assigning Entry{} would construct a
+            // temporary and block-copy it, a measurable share of the loop.
+            new (&e) Entry;
             e.pc = pending->pc;
             e.info = pending->info;
-            e.inst = *pending->inst;
+            e.inst = pending->inst;
             e.fetchedAt = clock;
-            e.op = pending->inst->op;
             e.memAddr = pending->memAddr;
+            if (unissuedTail_ == kNil)
+                unissuedHead_ = slot;
+            else
+                ruu_[unissuedTail_].nextUnissued = slot;
+            unissuedTail_ = slot;
 
-            auto bind = [&](int reg, unsigned slot) {
+            auto bind = [&](int reg) {
                 if (reg == kRegNone)
                     return;
                 u64 p = regProducer_[reg];
                 if (p != kNoSeq && p >= headSeq_)
-                    e.src[slot] = p;
+                    dependOn(slot, p);
             };
-            bind(info.src1, 0);
-            bind(info.src2, 1);
-            bind(info.src3, 2);
+            bind(info.src1);
+            bind(info.src2);
+            bind(info.src3);
             if (info.dest != kRegNone)
                 regProducer_[info.dest] = seq;
 
             if (info.isMem) {
                 ++lsqCount_;
-                Addr word = pending->memAddr >> 2;
+                const Addr word = pending->memAddr >> 2;
                 if (info.cls == InstClass::Load) {
-                    auto it = lastStoreToWord_.find(word);
-                    if (it != lastStoreToWord_.end() &&
-                        it->second >= headSeq_) {
-                        e.blockingStore = it->second;
+                    // Memory-order dependence on the youngest older
+                    // store to the same word still in flight.
+                    for (u64 i = storeTail_; i != storeHead_;) {
+                        const InflightStore &st = stores_[--i & storeMask_];
+                        if (st.word == word) {
+                            dependOn(slot, st.seq);
+                            break;
+                        }
                     }
                 } else {
-                    lastStoreToWord_[word] = seq;
+                    stores_[storeTail_++ & storeMask_] = {seq, word};
                 }
             }
 

@@ -161,6 +161,14 @@ Machine::run(u64 max_insns)
     return res;
 }
 
+void
+Machine::setOooTraceSink(std::vector<OooTraceEntry> *sink)
+{
+    cps_assert(ooo_ != nullptr,
+               "per-instruction timing traces need an out-of-order machine");
+    ooo_->setTraceSink(sink);
+}
+
 ChunkRunResult
 Machine::runChunk(const ChunkWindow &w)
 {

@@ -139,6 +139,13 @@ class Machine
     /** True when run() replays a recorded trace instead of executing. */
     bool replaying() const { return replayTrace_ != nullptr; }
 
+    /**
+     * Streams per-instruction timing of the next run into @p sink (see
+     * OoOPipeline::setTraceSink). Out-of-order machines only; nullptr
+     * disables.
+     */
+    void setOooTraceSink(std::vector<OooTraceEntry> *sink);
+
     StatSet &stats() { return stats_; }
     const MachineConfig &config() const { return cfg_; }
 

@@ -58,6 +58,32 @@ TEST(MemoryFunctional, LoadSegment)
     EXPECT_EQ(mem.read32(0x10000), 0x04030201u);
 }
 
+TEST(MemoryFunctional, LoadSegmentSpanningPagesIsExact)
+{
+    // Starts 3 bytes before a page boundary and ends 4 bytes past one:
+    // five 4KB pages, three of them whole.
+    MainMemory mem;
+    Segment seg;
+    seg.base = 0x20ffd;
+    seg.bytes.resize(3 * 4096 + 7);
+    for (size_t i = 0; i < seg.bytes.size(); ++i)
+        seg.bytes[i] = static_cast<u8>(i * 131 + 7);
+    mem.loadSegment(seg);
+    for (size_t i = 0; i < seg.bytes.size(); ++i) {
+        ASSERT_EQ(mem.read8(seg.base + static_cast<Addr>(i)), seg.bytes[i])
+            << "byte " << i;
+    }
+    EXPECT_EQ(mem.read8(seg.base - 1), 0u);
+    EXPECT_EQ(mem.read8(seg.end()), 0u);
+
+    // loadBytes takes the same path; overlapping it leaves the rest.
+    mem.loadBytes(0x21fff, {0xaa, 0xbb});
+    EXPECT_EQ(mem.read8(0x21ffe), seg.bytes[0x21ffe - seg.base]);
+    EXPECT_EQ(mem.read8(0x21fff), 0xaau);
+    EXPECT_EQ(mem.read8(0x22000), 0xbbu);
+    EXPECT_EQ(mem.read8(0x22001), seg.bytes[0x22001 - seg.base]);
+}
+
 // ---------------------------------------------------------------- timing
 
 TEST(MemoryTiming, PaperBaselineSingleBeat)
