@@ -24,6 +24,17 @@ constexpr char kMagic[8] = {'C', 'P', 'S', 'A', 'R', 'T', '1', '\0'};
 /** Distinguishes the temp files of concurrent writers in one process. */
 std::atomic<u64> tmpSeq{0};
 
+/** The envelope up to the payload: magic, key length, key, payload length. */
+std::vector<u8>
+envelopeHeader(const std::string &key, u32 payload_len)
+{
+    std::vector<u8> out(kMagic, kMagic + sizeof(kMagic));
+    put32(out, static_cast<u32>(key.size()));
+    out.insert(out.end(), key.begin(), key.end());
+    put32(out, payload_len);
+    return out;
+}
+
 } // namespace
 
 ArtifactCache::ArtifactCache(std::string dir, bool enabled, u64 max_bytes)
@@ -149,41 +160,39 @@ ArtifactCache::load(const std::string &key) const
 {
     if (!enabled_)
         return std::nullopt;
-    auto bytes = readFileBytes(entryPath(key));
-    if (!bytes)
+    const std::string path = entryPath(key);
+    FileReader in(path);
+    if (!in.isOpen())
         return std::nullopt; // miss
 
     // Everything below is verification of untrusted bytes: any failure
     // is a miss, never an error (the caller recomputes and overwrites).
-    const std::vector<u8> &buf = *bytes;
-    if (buf.size() < sizeof(kMagic) + 4 + 4 + 4)
+    // The entry is read in one pass: the header this key implies, then
+    // the payload straight into the buffer handed back, then the CRC.
+    const std::vector<u8> expected = envelopeHeader(key, 0);
+    std::vector<u8> header(expected.size());
+    if (!in.read(header.data(), header.size()))
+        return std::nullopt; // truncated header
+    const size_t key_end = header.size() - 4;
+    if (std::memcmp(header.data(), expected.data(), key_end) != 0)
+        return std::nullopt; // bad magic, or another key (hash collision)
+    const u32 payload_len = loadLe32(header.data() + key_end);
+    if (in.size() != header.size() + size_t{payload_len} + 4)
+        return std::nullopt; // torn or padded entry
+    std::vector<u8> payload(payload_len);
+    u8 trailer[4] = {};
+    if (!in.read(payload.data(), payload.size()) || !in.read(trailer, 4))
         return std::nullopt;
-    u32 stored_crc = static_cast<u32>(buf[buf.size() - 4]) |
-                     (static_cast<u32>(buf[buf.size() - 3]) << 8) |
-                     (static_cast<u32>(buf[buf.size() - 2]) << 16) |
-                     (static_cast<u32>(buf[buf.size() - 1]) << 24);
-    if (crc32(buf.data(), buf.size() - 4) != stored_crc)
-        return std::nullopt; // torn or bit-flipped entry
-
-    ByteCursor cur(buf);
-    if (!cur.expectMagic(kMagic, sizeof(kMagic)))
-        return std::nullopt;
-    u32 key_len = cur.get32();
-    if (!cur.ok() || key_len != key.size())
-        return std::nullopt;
-    std::string stored_key = cur.getString(key_len);
-    if (!cur.ok() || stored_key != key)
-        return std::nullopt; // hash collision: treat as a miss
-    u32 payload_len = cur.get32();
-    if (!cur.ok() || cur.remaining() != size_t{payload_len} + 4)
-        return std::nullopt;
+    if (crc32(payload.data(), payload.size(), crc32(header)) !=
+        loadLe32(trailer))
+        return std::nullopt; // bit-flipped entry
 
     // Touch the entry so LRU eviction (maintain) sees it as recent.
     std::error_code ec;
     std::filesystem::last_write_time(
-        entryPath(key), std::filesystem::file_time_type::clock::now(), ec);
+        path, std::filesystem::file_time_type::clock::now(), ec);
 
-    return cur.getBytes(payload_len);
+    return payload;
 }
 
 bool
@@ -198,15 +207,14 @@ ArtifactCache::store(const std::string &key,
     if (ec)
         return false;
 
-    std::vector<u8> out;
-    out.reserve(sizeof(kMagic) + 12 + key.size() + payload.size());
-    for (char c : kMagic)
-        out.push_back(static_cast<u8>(c));
-    put32(out, static_cast<u32>(key.size()));
-    out.insert(out.end(), key.begin(), key.end());
-    put32(out, static_cast<u32>(payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    put32(out, crc32(out));
+    // The header, the payload and the CRC trailer are written in
+    // sequence; the CRC chains over the first two, so the payload is
+    // never copied into a whole-entry buffer.
+    const std::vector<u8> header =
+        envelopeHeader(key, static_cast<u32>(payload.size()));
+    u8 trailer[4] = {};
+    storeLe32(trailer, crc32(payload.data(), payload.size(),
+                             crc32(header)));
 
     // Write to a writer-private temp name in the same directory, then
     // publish with rename(2): readers see the old entry or the complete
@@ -217,8 +225,10 @@ ArtifactCache::store(const std::string &key,
         static_cast<long>(getpid()),
         static_cast<unsigned long long>(
             tmpSeq.fetch_add(1, std::memory_order_relaxed)));
-    if (!writeFileBytes(tmp, out))
+    if (!writeFileParts(tmp, {header, payload, trailer})) {
+        std::filesystem::remove(tmp, ec);
         return false;
+    }
     std::filesystem::rename(tmp, entryPath(key), ec);
     if (ec) {
         std::filesystem::remove(tmp, ec);

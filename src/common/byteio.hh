@@ -2,14 +2,18 @@
  * @file
  * Little-endian byte serialization helpers shared by the object-file
  * and compressed-image file formats: bounds-checked reading, appending
- * writers, and whole-file I/O.
+ * writers, raw little-endian loads and stores for loops that have
+ * already validated their bounds, and whole-file I/O.
  */
 
 #ifndef CPS_COMMON_BYTEIO_HH
 #define CPS_COMMON_BYTEIO_HH
 
+#include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +47,28 @@ put64(std::vector<u8> &out, u64 v)
 {
     put32(out, static_cast<u32>(v));
     put32(out, static_cast<u32>(v >> 32));
+}
+
+/**
+ * Reads the little-endian u32 at @p p. Unchecked and alignment-free: the
+ * caller has validated that four bytes are there. Compilers fold the
+ * shifts into one load on little-endian hosts.
+ */
+inline u32
+loadLe32(const u8 *p)
+{
+    return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
+           (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
+}
+
+/** Writes @p v little-endian at @p p (unchecked, alignment-free). */
+inline void
+storeLe32(u8 *p, u32 v)
+{
+    p[0] = static_cast<u8>(v);
+    p[1] = static_cast<u8>(v >> 8);
+    p[2] = static_cast<u8>(v >> 16);
+    p[3] = static_cast<u8>(v >> 24);
 }
 
 /** Bounds-checked little-endian reader over a byte vector. */
@@ -130,8 +156,44 @@ class ByteCursor
     bool ok_ = true;
 };
 
+/**
+ * Writes @p parts to @p path back to back, so a file assembled from a
+ * header, a large body and a trailer needs no concatenated copy.
+ * @return false when the file cannot be created, any write falls short,
+ *         or closing it (the final flush) fails
+ */
+bool writeFileParts(const std::string &path,
+                    std::initializer_list<std::span<const u8>> parts);
+
 /** Writes @p bytes to @p path. @return false on I/O failure. */
 bool writeFileBytes(const std::string &path, const std::vector<u8> &bytes);
+
+/**
+ * A file opened for sequential reads, each of which must be satisfied in
+ * full. Lets a caller read a file's parts straight into their own
+ * buffers instead of copying them out of a whole-file one.
+ */
+class FileReader
+{
+  public:
+    explicit FileReader(const std::string &path);
+    ~FileReader();
+    FileReader(const FileReader &) = delete;
+    FileReader &operator=(const FileReader &) = delete;
+
+    /** False when the file could not be opened or sized. */
+    bool isOpen() const { return file_ != nullptr; }
+
+    /** Size of the file in bytes, taken when it was opened. */
+    size_t size() const { return size_; }
+
+    /** Reads the next @p n bytes into @p dst. @return false on a short read */
+    bool read(u8 *dst, size_t n);
+
+  private:
+    std::FILE *file_ = nullptr;
+    size_t size_ = 0;
+};
 
 /** Reads all of @p path; nullopt on failure. */
 std::optional<std::vector<u8>> readFileBytes(const std::string &path);

@@ -22,6 +22,7 @@
 #ifndef CPS_CORE_TRACE_HH
 #define CPS_CORE_TRACE_HH
 
+#include <utility>
 #include <vector>
 
 #include "common/result.hh"
@@ -59,6 +60,13 @@ static_assert(std::is_trivially_copyable_v<TraceEntry>,
 class TraceBuffer
 {
   public:
+    TraceBuffer() = default;
+
+    /** Adopts already-packed entries (trace deserialization). */
+    TraceBuffer(std::vector<TraceEntry> entries, bool complete)
+        : entries_(std::move(entries)), complete_(complete)
+    {}
+
     /** Appends the record of one executed instruction. */
     void
     append(const StepRecord &rec, Addr text_base)
@@ -73,9 +81,6 @@ class TraceBuffer
                  (rec.halted ? TraceEntry::kHaltedBit : 0);
         entries_.push_back(e);
     }
-
-    /** Appends an already-packed entry (trace deserialization). */
-    void appendEntry(const TraceEntry &e) { entries_.push_back(e); }
 
     /** Marks that the trace ends because the program exited. */
     void markComplete() { complete_ = true; }

@@ -7,6 +7,8 @@
 
 #include "trace.hh"
 
+#include <cstring>
+
 #include "common/byteio.hh"
 #include "common/crc32.hh"
 
@@ -18,6 +20,9 @@ namespace
 
 constexpr char kTraceMagic[8] = {'C', 'P', 'S', 'T', 'R', 'C', '1', '\0'};
 
+/** Bytes before the first entry: magic, u32 count, u8 complete flag. */
+constexpr size_t kHeaderBytes = sizeof(kTraceMagic) + 5;
+
 /** Bytes of one serialized entry (pc, nextPc, memAddr, meta). */
 constexpr size_t kEntryBytes = 16;
 
@@ -26,20 +31,20 @@ constexpr size_t kEntryBytes = 16;
 std::vector<u8>
 encodeTrace(const TraceBuffer &trace)
 {
-    std::vector<u8> out;
-    out.reserve(sizeof(kTraceMagic) + 5 + trace.size() * kEntryBytes + 4);
-    for (char c : kTraceMagic)
-        out.push_back(static_cast<u8>(c));
-    put32(out, static_cast<u32>(trace.size()));
-    put8(out, trace.complete() ? 1 : 0);
-    for (size_t i = 0; i < trace.size(); ++i) {
+    // Sized once; each entry's four words are stored in place.
+    std::vector<u8> out(kHeaderBytes + trace.size() * kEntryBytes + 4);
+    std::memcpy(out.data(), kTraceMagic, sizeof(kTraceMagic));
+    storeLe32(&out[sizeof(kTraceMagic)], static_cast<u32>(trace.size()));
+    out[sizeof(kTraceMagic) + 4] = trace.complete() ? 1 : 0;
+    u8 *p = out.data() + kHeaderBytes;
+    for (size_t i = 0; i < trace.size(); ++i, p += kEntryBytes) {
         const TraceEntry &e = trace.entry(i);
-        put32(out, e.pc);
-        put32(out, e.nextPc);
-        put32(out, e.memAddr);
-        put32(out, e.meta);
+        storeLe32(p, e.pc);
+        storeLe32(p + 4, e.nextPc);
+        storeLe32(p + 8, e.memAddr);
+        storeLe32(p + 12, e.meta);
     }
-    put32(out, crc32(out));
+    storeLe32(p, crc32(out.data(), out.size() - 4));
     return out;
 }
 
@@ -48,10 +53,7 @@ decodeTraceChecked(const std::vector<u8> &bytes)
 {
     if (bytes.size() < 4 ||
         crc32(bytes.data(), bytes.size() - 4) !=
-            (static_cast<u32>(bytes[bytes.size() - 4]) |
-             (static_cast<u32>(bytes[bytes.size() - 3]) << 8) |
-             (static_cast<u32>(bytes[bytes.size() - 2]) << 16) |
-             (static_cast<u32>(bytes[bytes.size() - 1]) << 24)))
+            loadLe32(&bytes[bytes.size() - 4]))
         return decodeErrorAtByte(DecodeStatus::BadCrc, 0,
                                  "trace CRC mismatch");
 
@@ -70,26 +72,25 @@ decodeTraceChecked(const std::vector<u8> &bytes)
                                  "trace completeness flag is %u",
                                  complete);
     // Validate the declared size against the bytes actually present
-    // before reserving anything (+4 for the trailing CRC).
+    // before allocating anything (+4 for the trailing CRC).
     if (cur.remaining() != size_t{count} * kEntryBytes + 4)
         return decodeErrorAtByte(
             DecodeStatus::Truncated, cur.pos(),
             "trace declares %u entries (%zu bytes) but %zu remain",
             count, size_t{count} * kEntryBytes, cur.remaining());
 
-    TraceBuffer trace;
-    trace.reserve(count);
-    for (u32 i = 0; i < count; ++i) {
-        TraceEntry e;
-        e.pc = cur.get32();
-        e.nextPc = cur.get32();
-        e.memAddr = cur.get32();
-        e.meta = cur.get32();
-        trace.appendEntry(e);
+    // The bounds are proven for every entry, so they decode without
+    // per-byte checks.
+    std::vector<TraceEntry> entries(count);
+    const u8 *p = bytes.data() + cur.pos();
+    for (TraceEntry &e : entries) {
+        e.pc = loadLe32(p);
+        e.nextPc = loadLe32(p + 4);
+        e.memAddr = loadLe32(p + 8);
+        e.meta = loadLe32(p + 12);
+        p += kEntryBytes;
     }
-    if (complete)
-        trace.markComplete();
-    return trace;
+    return TraceBuffer(std::move(entries), complete != 0);
 }
 
 } // namespace cps

@@ -216,8 +216,10 @@ MatrixJournal::compact(const std::vector<RunRequest> &requests)
     out.insert(out.end(), tomb.begin(), tomb.end());
 
     std::string tmp = path_ + ".tmp." + std::to_string(::getpid());
-    if (!writeFileBytes(tmp, out))
+    if (!writeFileBytes(tmp, out)) {
+        ::unlink(tmp.c_str());
         return false;
+    }
     if (::rename(tmp.c_str(), path_.c_str()) != 0) {
         ::unlink(tmp.c_str());
         return false;

@@ -1,10 +1,12 @@
 /**
  * @file
- * Artifact-cache contract tests: hit/miss/round-trip, corrupt-entry
- * fallback (a damaged cache may cost recompute time, never output),
- * key sensitivity to every pregeneration input, concurrent same-key
- * writers, and byte-identity of the parallel compressors against the
- * serial reference at CPS_THREADS-style worker counts 1 and 8.
+ * Artifact-cache contract tests: hit/miss/round-trip, the pinned entry
+ * layout, corrupt-entry fallback (a damaged cache may cost recompute
+ * time, never output), key sensitivity to every pregeneration input,
+ * concurrent same-key writers, warm builds that really hit, and
+ * byte-identity of the parallel compressors against the serial
+ * reference at CPS_THREADS-style worker counts 1 and 8. Also the
+ * whole-file writer's failure reporting, which store() relies on.
  */
 
 #include <chrono>
@@ -17,6 +19,7 @@
 #include "codepack/imagefile.hh"
 #include "common/artifact_cache.hh"
 #include "common/byteio.hh"
+#include "common/crc32.hh"
 #include "compress/ccrp.hh"
 #include "harness/suite.hh"
 #include "progen/progen.hh"
@@ -45,6 +48,23 @@ somePayload(size_t n, u8 salt)
     for (size_t i = 0; i < n; ++i)
         p[i] = static_cast<u8>(salt + i * 31);
     return p;
+}
+
+/** The entry store() must write, built field by field. */
+std::vector<u8>
+handBuiltEntry(const std::string &key, const std::vector<u8> &payload)
+{
+    std::vector<u8> e = {'C', 'P', 'S', 'A', 'R', 'T', '1', '\0'};
+    auto le32 = [&e](u32 v) {
+        for (int i = 0; i < 4; ++i)
+            e.push_back(static_cast<u8>(v >> (8 * i)));
+    };
+    le32(static_cast<u32>(key.size()));
+    e.insert(e.end(), key.begin(), key.end());
+    le32(static_cast<u32>(payload.size()));
+    e.insert(e.end(), payload.begin(), payload.end());
+    le32(crc32(e));
+    return e;
 }
 
 /** A small profile so generate/compress/trace stay fast. */
@@ -108,6 +128,82 @@ TEST(ArtifactCache, CorruptEntryIsAMiss)
     auto loaded = cache.load(key);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(*loaded, fresh);
+}
+
+TEST(ArtifactCache, EntryLayoutIsPinnedAndEveryFieldIsVerified)
+{
+    ScratchDir dir("layout");
+    ArtifactCache cache(dir.path, true);
+    const std::string key = "pinned;layout=1";
+    const std::string path = cache.entryPath(key);
+    for (size_t size : {size_t{0}, size_t{1} << 20}) {
+        SCOPED_TRACE("payload of " + std::to_string(size) + " bytes");
+        const std::vector<u8> payload = somePayload(size, 5);
+        ASSERT_TRUE(cache.store(key, payload));
+        const std::vector<u8> entry = handBuiltEntry(key, payload);
+        auto stored = readFileBytes(path);
+        ASSERT_TRUE(stored.has_value());
+        ASSERT_TRUE(*stored == entry) << "entry bytes differ from layout";
+        auto loaded = cache.load(key);
+        ASSERT_TRUE(loaded.has_value());
+        ASSERT_TRUE(*loaded == payload);
+
+        // Field starts: magic, key length, key, payload length,
+        // payload, CRC.
+        const size_t key_at = 12;
+        const size_t len_at = key_at + key.size();
+        const size_t payload_at = len_at + 4;
+        const size_t crc_at = payload_at + size;
+        const std::vector<size_t> starts = {0,      8,          key_at,
+                                            len_at, payload_at, crc_at};
+        for (size_t f = 0; f < starts.size(); ++f) {
+            const size_t begin = starts[f];
+            const size_t end =
+                f + 1 < starts.size() ? starts[f + 1] : entry.size();
+            if (begin < end) {
+                for (size_t at : {begin, (begin + end) / 2, end - 1}) {
+                    std::vector<u8> bad = entry;
+                    bad[at] ^= 0x01;
+                    ASSERT_TRUE(writeFileBytes(path, bad));
+                    EXPECT_FALSE(cache.load(key).has_value())
+                        << "flipped byte " << at << " in field " << f;
+                }
+            }
+            // Truncated at the start of the field (the last field's
+            // start also truncates the CRC away entirely).
+            std::vector<u8> cut(entry.begin(),
+                                entry.begin() + static_cast<long>(begin));
+            ASSERT_TRUE(writeFileBytes(path, cut));
+            EXPECT_FALSE(cache.load(key).has_value())
+                << "truncated at byte " << begin;
+        }
+        std::vector<u8> cut(entry.begin(), entry.end() - 1);
+        ASSERT_TRUE(writeFileBytes(path, cut));
+        EXPECT_FALSE(cache.load(key).has_value()) << "CRC cut short";
+        std::vector<u8> padded = entry;
+        padded.push_back(0);
+        ASSERT_TRUE(writeFileBytes(path, padded));
+        EXPECT_FALSE(cache.load(key).has_value()) << "trailing byte";
+
+        // The pristine bytes load again: the mutations caused the misses.
+        ASSERT_TRUE(writeFileBytes(path, entry));
+        loaded = cache.load(key);
+        ASSERT_TRUE(loaded.has_value());
+        EXPECT_TRUE(*loaded == payload);
+    }
+}
+
+TEST(ByteIo, WriteFailsWhenTheFinalFlushFails)
+{
+    // /dev/full takes the open and a small buffered fwrite; the ENOSPC
+    // surfaces only when fclose flushes the buffer.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    EXPECT_FALSE(writeFileBytes("/dev/full", somePayload(100, 1)));
+    EXPECT_FALSE(writeFileBytes("/dev/full", somePayload(1 << 20, 1)));
+    const std::vector<u8> head = somePayload(16, 2);
+    const std::vector<u8> body = somePayload(100, 3);
+    EXPECT_FALSE(writeFileParts("/dev/full", {head, body}));
 }
 
 TEST(ArtifactCache, MaintainSweepsAbandonedTempFiles)
@@ -354,7 +450,20 @@ TEST(ArtifactCache, BenchBuildColdWarmAndCorruptAreIdentical)
         cache.entryPath(benchImageKey(*cold->profile,
                                       codepack::CompressorConfig{}))));
 
-    // Warm build loads; every artifact must be byte-identical.
+    // Warm build loads; every artifact must be byte-identical. The
+    // entries must really hit: a load that always missed would pass the
+    // comparisons below through the silent recompute.
+    const std::vector<std::pair<std::string, const std::vector<u8> *>>
+        cold_entries = {
+            {benchProgramKey(*cold->profile), &cold_prog},
+            {benchImageKey(*cold->profile, codepack::CompressorConfig{}),
+             &cold_img},
+            {benchTraceKey(*cold->profile, kCap), &cold_trace}};
+    for (const auto &[key, cold_bytes] : cold_entries) {
+        auto loaded = cache.load(key);
+        ASSERT_TRUE(loaded.has_value()) << "warm miss on " << key;
+        EXPECT_TRUE(*loaded == *cold_bytes) << "entry differs: " << key;
+    }
     std::unique_ptr<BenchProgram> warm =
         buildBenchProgram("pegwit", cache, kCap);
     EXPECT_EQ(codepack::encodeImage(warm->image), cold_img);

@@ -1,16 +1,20 @@
 /**
  * @file
  * Tests for the recoverable-error plumbing: Result<T>, Result<void>,
- * DecodeError formatting, and the CRC-32 used by the image format.
+ * DecodeError formatting, and the CRC-32 used by the image format
+ * (cross-checked against a bytewise reference loop).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/crc32.hh"
 #include "common/result.hh"
+#include "common/rng.hh"
 
 namespace cps
 {
@@ -89,6 +93,29 @@ TEST(Result, EveryStatusHasAName)
 
 // ------------------------------------------------------------- crc32
 
+/** The textbook one-byte-per-step CRC-32, kept only as a reference. */
+u32
+bytewiseCrc32(const u8 *data, size_t size, u32 crc = 0)
+{
+    crc = ~crc;
+    for (size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+    return ~crc;
+}
+
+std::vector<u8>
+randomBytes(size_t n, u64 seed)
+{
+    Rng rng(seed);
+    std::vector<u8> out(n);
+    for (u8 &b : out)
+        b = static_cast<u8>(rng.next() >> 56);
+    return out;
+}
+
 TEST(Crc32, KnownVectors)
 {
     // The classic check value for CRC-32/IEEE.
@@ -99,13 +126,39 @@ TEST(Crc32, KnownVectors)
 
 TEST(Crc32, ChainingMatchesOneShot)
 {
-    std::vector<u8> data;
-    for (int i = 0; i < 300; ++i)
-        data.push_back(static_cast<u8>(i * 7));
-    u32 oneshot = crc32(data);
-    u32 chained = crc32(data.data(), 100);
-    chained = crc32(data.data() + 100, 200, chained);
+    // Splits at non-multiples of 8 restart the 8-byte slices mid-stream.
+    const std::vector<u8> data = randomBytes(1000, 3);
+    const u32 oneshot = crc32(data);
+    ASSERT_EQ(oneshot, bytewiseCrc32(data.data(), data.size()));
+    for (size_t first : {1u, 3u, 7u, 9u, 100u, 501u, 999u}) {
+        u32 chained = crc32(data.data(), first);
+        chained = crc32(data.data() + first, data.size() - first, chained);
+        EXPECT_EQ(chained, oneshot) << "split at " << first;
+    }
+    // Many uneven pieces in a row: 5, 11, 17, ... bytes.
+    u32 chained = 0;
+    size_t pos = 0;
+    for (size_t piece = 5; pos < data.size(); piece += 6) {
+        size_t n = std::min(piece, data.size() - pos);
+        chained = crc32(data.data() + pos, n, chained);
+        pos += n;
+    }
     EXPECT_EQ(chained, oneshot);
+}
+
+TEST(Crc32, MatchesBytewiseReference)
+{
+    // Lengths 0-64 cover the 8-byte slices plus every tail length;
+    // start offsets 0-7 cover every alignment of the slice loads.
+    const std::vector<u8> small = randomBytes(64 + 8, 1);
+    for (size_t offset = 0; offset < 8; ++offset)
+        for (size_t len = 0; len <= 64; ++len)
+            EXPECT_EQ(crc32(small.data() + offset, len),
+                      bytewiseCrc32(small.data() + offset, len))
+                << "offset " << offset << " length " << len;
+
+    const std::vector<u8> large = randomBytes(1u << 20, 2);
+    EXPECT_EQ(crc32(large), bytewiseCrc32(large.data(), large.size()));
 }
 
 TEST(Crc32, SensitiveToSingleBitFlips)
