@@ -2,15 +2,15 @@
  * @file
  * Extension experiment: host-side simulator performance. Unlike every
  * other bench, the numbers here are about the *simulator*, not the
- * simulated machine — how fast the trusted LUT decoder chews through
- * compressed blocks compared to the checked bit-serial reference, how
- * many instructions per second the 4-issue model simulates (driving the
- * functional core live vs. replaying the recorded trace), the
- * wall-clock of a full experiment-matrix regeneration serial vs.
- * parallel and live vs. replay (the `runMatrix` engine, worker count
- * from CPS_THREADS), and the chunk-parallel single-run engine's
- * thread scaling plus its speculative-mode accuracy versus warm-up
- * length.
+ * simulated machine — pregeneration against a cold vs. warm artifact
+ * cache, CodePack compression serial vs. parallel, how fast each decode
+ * kernel chews through compressed blocks compared to the checked
+ * bit-serial reference, the host block fetcher with and without
+ * speculative decode, how many instructions per second the models
+ * simulate (driving the functional core live vs. replaying the
+ * recorded trace), and the wall-clock of a full experiment-matrix
+ * regeneration serial vs. parallel and live vs. replay (the
+ * `runMatrix` engine, worker count from CPS_THREADS).
  *
  * Besides the human-readable table the bench writes BENCH_simperf.json
  * into the working directory so later changes can track the host-perf
@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -32,7 +31,6 @@
 #include "common/simd.hh"
 #include "common/table.hh"
 #include "common/threadpool.hh"
-#include "harness/chunked.hh"
 #include "harness/engine.hh"
 
 using namespace cps;
@@ -49,8 +47,11 @@ using Clock = std::chrono::steady_clock;
  * Schema 8: bench_ext_soft_errors may merge an optional "softerr"
  * section (coverage, silent-rate, recovery-latency, and storage-cost
  * aggregates of the soft-error campaigns).
+ * Schema 9: the "chunked" section and hostpf.direct_blocks_per_sec are
+ * gone; hostpf.warm_refill_speedup is the fetcher against the
+ * prefetch-off LRU.
  */
-constexpr int kSchema = 8;
+constexpr int kSchema = 9;
 
 double
 secondsSince(Clock::time_point start)
@@ -235,14 +236,13 @@ main()
         return bps > 0 ? 1e9 / bps : 0.0;
     };
 
-    // --- 1d. Host block cache: direct-mapped memo vs scored prefetch --
-    // Warm-refill throughput of the three host caches on a sequential
-    // sweep over every block of the largest image. The image holds far
-    // more blocks than the 64-slot cache, so every sweep is a full
-    // refill — the worst case the fetcher's speculative decode overlap
-    // is meant to win.
+    // --- 1d. Host block cache: plain LRU vs scored prefetch ----------
+    // Warm-refill throughput of the fetcher with and without
+    // speculative decode on a sequential sweep over every block of the
+    // largest image. The image holds far more blocks than the 64-slot
+    // cache, so every sweep is a full refill — the case the batched
+    // speculative decode is meant to win.
     const unsigned hostpf_slots = 64;
-    codepack::BlockCache direct_cache(batch_decomp, hostpf_slots);
     codepack::BlockFetcher::Options lru_opts;
     lru_opts.slots = hostpf_slots;
     lru_opts.prefetch = false;
@@ -250,11 +250,6 @@ main()
     codepack::BlockFetcher::Options pf_opts;
     pf_opts.slots = hostpf_slots;
     codepack::BlockFetcher pf_fetch(batch_decomp, pf_opts);
-    auto directSweep = [&](u32 b) {
-        const codepack::DecodedBlock &blk = direct_cache.get(
-            b / codepack::kBlocksPerGroup, b % codepack::kBlocksPerGroup);
-        asm volatile("" : : "r"(blk.words[0]) : "memory");
-    };
     auto lruSweep = [&](u32 b) {
         const codepack::DecodedBlock &blk = lru_fetch.getFlat(b);
         asm volatile("" : : "r"(blk.words[0]) : "memory");
@@ -263,9 +258,9 @@ main()
         const codepack::DecodedBlock &blk = pf_fetch.getFlat(b);
         asm volatile("" : : "r"(blk.words[0]) : "memory");
     };
-    // One ~0.2 s timing window; the three caches take their windows
+    // One ~0.2 s timing window; the two caches take their windows
     // interleaved, rep by rep, so slow drift (turbo decay, a noisy
-    // neighbor) hits all of them alike instead of biasing the ratio.
+    // neighbor) hits both alike instead of biasing the ratio.
     auto window = [&](auto &&sweep) {
         u64 decoded = 0;
         auto start = Clock::now();
@@ -278,19 +273,17 @@ main()
         } while (elapsed < 0.2);
         return static_cast<double>(decoded) / elapsed;
     };
-    for (u32 b = 0; b < blocks; ++b) { // warm all three
-        directSweep(b);
+    for (u32 b = 0; b < blocks; ++b) { // warm both
         lruSweep(b);
         pfSweep(b);
     }
-    double direct_bps = 0, lru_bps = 0, fetcher_bps = 0;
+    double lru_bps = 0, fetcher_bps = 0;
     for (int rep = 0; rep < 5; ++rep) {
-        direct_bps = std::max(direct_bps, window(directSweep));
         lru_bps = std::max(lru_bps, window(lruSweep));
         fetcher_bps = std::max(fetcher_bps, window(pfSweep));
     }
     double warm_refill_speedup =
-        fetcher_bps / (direct_bps > 0 ? direct_bps : 1.0);
+        fetcher_bps / (lru_bps > 0 ? lru_bps : 1.0);
     u64 hostpf_issued = pf_fetch.prefetchIssued();
     u64 hostpf_hits = pf_fetch.prefetchHits();
     double hostpf_hit_rate =
@@ -354,80 +347,6 @@ main()
     double replay_speedup =
         matrix_live_s / (matrix_replay_s > 0 ? matrix_replay_s : 1.0);
 
-    // --- 4. Chunk-parallel single run: throughput and accuracy --------
-    // Throughput: the same single run split into a fixed 8-chunk plan
-    // (so the plan never changes), speculative warm-up, at 1/2/4/8
-    // worker threads; the serial replay rate above is the baseline.
-    const u64 chunk_insns = (insns + 7) / 8;
-    auto chunkedRate = [&](unsigned threads) {
-        harness::ChunkOptions opt;
-        opt.chunkInsns = chunk_insns;
-        opt.threads = threads;
-        harness::runMachineChunked(go, native_cfg, insns, opt); // warm-up
-        double best = 0;
-        for (int rep = 0; rep < 3; ++rep) {
-            u64 simulated = 0;
-            auto start = Clock::now();
-            double elapsed = 0;
-            do {
-                RunOutcome out =
-                    harness::runMachineChunked(go, native_cfg, insns, opt);
-                simulated += out.result.instructions;
-                elapsed = secondsSince(start);
-            } while (elapsed < 0.2);
-            best =
-                std::max(best, static_cast<double>(simulated) / elapsed);
-        }
-        return best;
-    };
-    const unsigned chunk_threads[] = {1, 2, 4, 8};
-    double chunk_ips[4];
-    for (size_t i = 0; i < 4; ++i)
-        chunk_ips[i] = chunkedRate(chunk_threads[i]);
-    double chunk_speedup_8t =
-        chunk_ips[3] / (native_replay_ips > 0 ? native_replay_ips : 1.0);
-
-    // Accuracy: speculative boundaries are only warmed W entries deep,
-    // so the stitched stats drift from serial; measure the worst IPC
-    // and I-miss-rate deviation across all benchmarks and both
-    // pipelines as W grows.
-    struct ChunkAccuracy
-    {
-        u64 warmup;
-        double maxIpcDelta = 0;      // relative |ΔIPC| / IPC_serial
-        double maxMissRateDelta = 0; // absolute |Δ miss rate|
-    };
-    std::vector<ChunkAccuracy> accuracy = {{1024}, {4096}, {16384}};
-    for (const std::string &name : suite.names()) {
-        const BenchProgram &bench = suite.get(name);
-        for (const MachineConfig &base :
-             {baseline1Issue(),
-              baseline4Issue().withCodeModel(CodeModel::CodePack)}) {
-            RunOutcome serial = runMachineSerial(bench, base, insns);
-            double serial_ipc =
-                static_cast<double>(serial.result.instructions) /
-                static_cast<double>(serial.result.cycles);
-            for (ChunkAccuracy &acc : accuracy) {
-                harness::ChunkOptions opt;
-                opt.chunkInsns = chunk_insns;
-                opt.warmupInsns = acc.warmup;
-                opt.threads = workers;
-                RunOutcome chunked =
-                    harness::runMachineChunked(bench, base, insns, opt);
-                double ipc =
-                    static_cast<double>(chunked.result.instructions) /
-                    static_cast<double>(chunked.result.cycles);
-                acc.maxIpcDelta =
-                    std::max(acc.maxIpcDelta,
-                             std::abs(ipc - serial_ipc) / serial_ipc);
-                acc.maxMissRateDelta = std::max(
-                    acc.maxMissRateDelta,
-                    std::abs(chunked.icacheMissRate -
-                             serial.icacheMissRate));
-            }
-        }
-    }
-
     TextTable t;
     t.setTitle("Extension: host simulator performance "
                "(simulator wall-clock, not simulated cycles)");
@@ -464,15 +383,11 @@ main()
               strfmt("%.2fx (default kernel: %s)", decode_speedup,
                      codepack::decodeKernelName(
                          codepack::defaultDecodeKernel()))});
-    t.addRow({strfmt("host cache, direct-mapped %u", hostpf_slots),
-              strfmt("%s blocks/s (%.1f ns/block)",
-                     grouped(direct_bps).c_str(),
-                     nsPerBlock(direct_bps))});
     t.addRow({strfmt("host cache, LRU %u, no prefetch", hostpf_slots),
               strfmt("%s blocks/s (%.1f ns/block)",
                      grouped(lru_bps).c_str(), nsPerBlock(lru_bps))});
     t.addRow({strfmt("host cache, scored prefetch %u", hostpf_slots),
-              strfmt("%s blocks/s (%.1f ns/block, %.2fx vs direct)",
+              strfmt("%s blocks/s (%.1f ns/block, %.2fx vs LRU)",
                      grouped(fetcher_bps).c_str(),
                      nsPerBlock(fetcher_bps), warm_refill_speedup)});
     t.addRow({"host prefetch accuracy",
@@ -508,22 +423,6 @@ main()
               strfmt("%.2f s", matrix_live_s)});
     t.addRow({strfmt("matrix, %u workers, trace replay", workers),
               strfmt("%.2f s (%.2fx)", matrix_replay_s, replay_speedup)});
-    for (size_t i = 0; i < 4; ++i) {
-        t.addRow({strfmt("4-issue chunked run, %u threads",
-                         chunk_threads[i]),
-                  strfmt("%s insns/s (%.2fx vs serial replay)",
-                         grouped(chunk_ips[i]).c_str(),
-                         chunk_ips[i] / (native_replay_ips > 0
-                                             ? native_replay_ips
-                                             : 1.0))});
-    }
-    for (const ChunkAccuracy &acc : accuracy) {
-        t.addRow({strfmt("chunked accuracy, W=%llu",
-                         static_cast<unsigned long long>(acc.warmup)),
-                  strfmt("max IPC delta %.3f%%, max I-miss-rate delta "
-                         "%.5f",
-                         acc.maxIpcDelta * 100.0, acc.maxMissRateDelta)});
-    }
     t.print();
 
     // --- JSON trajectory record ---------------------------------------
@@ -564,7 +463,6 @@ main()
         "  },\n"
         "  \"hostpf\": {\n"
         "    \"slots\": %u,\n"
-        "    \"direct_blocks_per_sec\": %.0f,\n"
         "    \"lru_blocks_per_sec\": %.0f,\n"
         "    \"fetcher_blocks_per_sec\": %.0f,\n"
         "    \"warm_refill_speedup\": %.3f,\n"
@@ -590,22 +488,6 @@ main()
         "    \"live_seconds\": %.3f,\n"
         "    \"replay_seconds\": %.3f,\n"
         "    \"replay_speedup\": %.3f\n"
-        "  },\n"
-        "  \"chunked\": {\n"
-        "    \"chunk_insns\": %llu,\n"
-        "    \"insns_per_sec_1t\": %.0f,\n"
-        "    \"insns_per_sec_2t\": %.0f,\n"
-        "    \"insns_per_sec_4t\": %.0f,\n"
-        "    \"insns_per_sec_8t\": %.0f,\n"
-        "    \"speedup_8t_vs_serial_replay\": %.3f,\n"
-        "    \"accuracy\": [\n"
-        "      {\"warmup\": %llu, \"max_ipc_delta\": %.6f, "
-        "\"max_missrate_delta\": %.6f},\n"
-        "      {\"warmup\": %llu, \"max_ipc_delta\": %.6f, "
-        "\"max_missrate_delta\": %.6f},\n"
-        "      {\"warmup\": %llu, \"max_ipc_delta\": %.6f, "
-        "\"max_missrate_delta\": %.6f}\n"
-        "    ]\n"
         "  }\n"
         "}\n",
         kSchema, pregen_cold_s, pregen_warm_s, pregen_speedup,
@@ -615,7 +497,7 @@ main()
         checked_bps, lut_bps, lut2_bps, batched_bps,
         nsPerBlock(checked_bps), nsPerBlock(lut_bps),
         nsPerBlock(lut2_bps), nsPerBlock(batched_bps),
-        decode_speedup, hostpf_slots, direct_bps, lru_bps, fetcher_bps,
+        decode_speedup, hostpf_slots, lru_bps, fetcher_bps,
         warm_refill_speedup,
         static_cast<unsigned long long>(hostpf_issued),
         static_cast<unsigned long long>(hostpf_hits), hostpf_hit_rate,
@@ -624,16 +506,7 @@ main()
         reqs.size(),
         static_cast<unsigned long long>(insns), serial_s, parallel_s,
         workers, serial_s / (parallel_s > 0 ? parallel_s : 1.0),
-        matrix_live_s, matrix_replay_s, replay_speedup,
-        static_cast<unsigned long long>(chunk_insns),
-        chunk_ips[0], chunk_ips[1], chunk_ips[2], chunk_ips[3],
-        chunk_speedup_8t,
-        static_cast<unsigned long long>(accuracy[0].warmup),
-        accuracy[0].maxIpcDelta, accuracy[0].maxMissRateDelta,
-        static_cast<unsigned long long>(accuracy[1].warmup),
-        accuracy[1].maxIpcDelta, accuracy[1].maxMissRateDelta,
-        static_cast<unsigned long long>(accuracy[2].warmup),
-        accuracy[2].maxIpcDelta, accuracy[2].maxMissRateDelta);
+        matrix_live_s, matrix_replay_s, replay_speedup);
     std::fclose(f);
     std::printf("\nWrote BENCH_simperf.json (schema %d).\n", kSchema);
     return 0;

@@ -12,6 +12,7 @@
 
 #include "branch/predictors.hh"
 #include "cache/cache.hh"
+#include "codepack/block_fetcher.hh"
 #include "codepack/decompressor.hh"
 #include "common/rng.hh"
 #include "compress/ccrp.hh"
@@ -88,25 +89,23 @@ BM_CodePackDecompressChecked(benchmark::State &state)
 BENCHMARK(BM_CodePackDecompressChecked);
 
 void
-BM_BlockCacheFetch(benchmark::State &state)
+BM_BlockFetcherFetch(benchmark::State &state)
 {
-    // Re-fetching a small hot set through the memoized block cache —
-    // the common pattern in the software-decompression fetch path.
+    // Re-fetching a small hot set through the host block fetcher — the
+    // common pattern in both CodePack fetch paths' miss handling.
     const BenchProgram &bench = goBench();
     codepack::Decompressor d(bench.image);
-    codepack::BlockCache cache(d);
+    codepack::BlockFetcher fetcher(d);
     u32 blocks = std::min<u32>(bench.image.numBlocks(), 16);
     u32 next = 0;
     for (auto _ : state) {
-        const codepack::DecodedBlock &blk =
-            cache.get(next / codepack::kBlocksPerGroup,
-                      next % codepack::kBlocksPerGroup);
+        const codepack::DecodedBlock &blk = fetcher.getFlat(next);
         benchmark::DoNotOptimize(blk.words[0]);
         next = (next + 1) % blocks;
     }
     state.SetItemsProcessed(static_cast<s64>(state.iterations()) * 16);
 }
-BENCHMARK(BM_BlockCacheFetch);
+BENCHMARK(BM_BlockFetcherFetch);
 
 void
 BM_CcrpCompress(benchmark::State &state)

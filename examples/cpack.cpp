@@ -17,12 +17,14 @@
  * of the built-in benchmark profiles (e.g. @go).
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "asmkit/assembler.hh"
 #include "common/byteio.hh"
+#include "common/logging.hh"
 #include "isa/isa.hh"
 #include "asmkit/objfile.hh"
 #include "codepack/compressor.hh"
@@ -109,7 +111,8 @@ main(int argc, char **argv)
         else if (arg == "--no-raw-blocks")
             raw_blocks = false;
         else if (arg == "--disasm" && i + 1 < argc)
-            disasm_count = static_cast<unsigned>(atoi(argv[++i]));
+            disasm_count = static_cast<unsigned>(
+                parseUnsignedOption("--disasm", argv[++i], 0, UINT_MAX));
         else if (arg == "--ecc" && i + 1 < argc) {
             if (!parseProtectKind(argv[++i], protect))
                 cps_fatal("unknown protection kind '%s' (off, crc8, "

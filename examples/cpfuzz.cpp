@@ -38,15 +38,17 @@
  *      --self-test-crash); the wait status carries the signal
  */
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "asmkit/assembler.hh"
 #include "asmkit/objfile.hh"
 #include "codepack/compressor.hh"
 #include "common/byteio.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "fault/campaign.hh"
 #include "fault/soft_campaign.hh"
@@ -136,10 +138,13 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--trials") {
+            // Zero trials would print an all-zero table and exit 0: a
+            // vacuous pass of the campaign gate.
             cfg.trials = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                parseUnsignedOption("--trials", next(), 1, UINT_MAX));
         } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next().c_str(), nullptr, 0);
+            cfg.seed = parseUnsignedOption("--seed", next(), 0, UINT64_MAX,
+                                           /*base=*/0);
         } else if (arg == "--no-crc") {
             cfg.verifyCrc = false;
         } else if (arg == "--runtime-flips") {

@@ -14,12 +14,14 @@
  *     --output             print the program's syscall output
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "asmkit/assembler.hh"
 #include "common/byteio.hh"
+#include "common/logging.hh"
 #include "asmkit/objfile.hh"
 #include "codepack/imagefile.hh"
 #include "harness/suite.hh"
@@ -77,23 +79,23 @@ main(int argc, char **argv)
             else
                 cps_fatal("unknown code model '%s'", m.c_str());
         } else if (arg == "--insns") {
-            insns = std::strtoull(next().c_str(), nullptr, 10);
+            insns = parseUnsignedOption("--insns", next(), 0, UINT64_MAX);
         } else if (arg == "--icache") {
-            cfg.icache.sizeBytes =
-                static_cast<u32>(std::strtoul(next().c_str(), nullptr,
-                                              10)) * 1024;
+            u64 kb = parseUnsignedOption("--icache", next(), 1,
+                                         UINT32_MAX / 1024);
+            cfg.icache.sizeBytes = static_cast<u32>(kb * 1024);
         } else if (arg == "--bus") {
-            cfg.mem.busWidthBits =
-                static_cast<unsigned>(std::strtoul(next().c_str(),
-                                                   nullptr, 10));
+            cfg.mem.busWidthBits = static_cast<unsigned>(
+                parseUnsignedOption("--bus", next(), 1, UINT_MAX));
         } else if (arg == "--memlat") {
             std::string v = next();
             size_t comma = v.find(',');
             if (comma == std::string::npos)
                 cps_fatal("--memlat wants FIRST,RATE");
-            cfg.mem.firstAccess = std::strtoull(v.c_str(), nullptr, 10);
-            cfg.mem.beatRate =
-                std::strtoull(v.c_str() + comma + 1, nullptr, 10);
+            cfg.mem.firstAccess = parseUnsignedOption(
+                "--memlat", v.substr(0, comma), 0, UINT64_MAX);
+            cfg.mem.beatRate = parseUnsignedOption(
+                "--memlat", v.substr(comma + 1), 0, UINT64_MAX);
         } else if (arg == "--image") {
             image_path = next();
         } else if (arg == "--stats") {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "common/logging.hh"
 
@@ -11,6 +10,21 @@ namespace cps
 {
 namespace codepack
 {
+
+unsigned
+defaultBlockCacheSlots()
+{
+    const char *env = std::getenv("CPS_BLOCK_CACHE_SLOTS");
+    if (!env || !*env)
+        return 64;
+    char *end = nullptr;
+    long v = std::strtol(env, &end, 10);
+    if (!end || *end || v < 1 || v > (1 << 20)) {
+        envWarnOnce("CPS_BLOCK_CACHE_SLOTS", env, "a positive integer");
+        return 64;
+    }
+    return static_cast<unsigned>(v);
+}
 
 BlockFetcher::Options
 BlockFetcher::Options::fromEnv()
@@ -21,10 +35,8 @@ BlockFetcher::Options::fromEnv()
         std::string v(env);
         if (v == "0" || v == "off")
             o.prefetch = false;
-        else if (v == "async")
-            o.async = true;
         else if (!v.empty() && v != "1" && v != "sync")
-            envWarnOnce("CPS_BLOCK_PREFETCH", env, "0|off|sync|async");
+            envWarnOnce("CPS_BLOCK_PREFETCH", env, "0|off|1|sync");
     }
     return o;
 }
@@ -48,15 +60,6 @@ BlockFetcher::BlockFetcher(const Decompressor &decomp, Options opts,
         if (domain_)
             statPoisons_ = &stats->scalar("hostpf.poisons");
     }
-}
-
-BlockFetcher::~BlockFetcher()
-{
-    // Draining the pool runs every remaining task; a span the consumer
-    // stole leaves its task a no-op. After the join nothing touches
-    // span storage.
-    pool_.reset();
-    inflight_.clear();
 }
 
 const DecodedBlock &
@@ -83,13 +86,6 @@ BlockFetcher::getFlat(u32 flat)
             pushFront(i);
         }
         Entry &e = slab_[i];
-        const DecodedBlock *blk = &e.blk;
-        if (e.span) {
-            SpecSpan &s = *e.span;
-            if (!s.done)
-                resolveSpan(s);
-            blk = &s.blks[e.lane];
-        }
         if (e.prefetched) {
             // First touch of a speculatively decoded block.
             e.prefetched = false;
@@ -102,10 +98,10 @@ BlockFetcher::getFlat(u32 flat)
                 statHits_->inc();
         }
         // The entry stays MRU through the speculative round (at most
-        // slots-1 inserts), so the returned reference — slab storage
-        // or span storage pinned by e.span — outlives the round.
+        // slots-1 inserts), so the returned reference outlives the
+        // round.
         issuePrefetches(flat);
-        return *blk;
+        return e.blk;
     }
 
     u32 slot = claimSlot(flat);
@@ -136,18 +132,11 @@ BlockFetcher::tryGetFlat(u32 flat)
     u32 i = map_[flat];
     if (i != kInvalid) {
         Entry &e = slab_[i];
-        bool stale = lastCheck_ != FetchCheck::Clean;
-        if (e.span && !e.span->done)
-            resolveSpan(*e.span);
-        if (domain_ && e.span && !e.span->ok[e.lane])
-            stale = true; // speculative decode of corrupt bytes failed
-        if (!stale) {
+        if (lastCheck_ == FetchCheck::Clean) {
             if (head_ != i) {
                 unlink(i);
                 pushFront(i);
             }
-            const DecodedBlock *blk =
-                e.span ? &e.span->blks[e.lane] : &e.blk;
             if (e.prefetched) {
                 e.prefetched = false;
                 ++pfHits_;
@@ -159,7 +148,7 @@ BlockFetcher::tryGetFlat(u32 flat)
                     statHits_->inc();
             }
             issuePrefetches(flat);
-            return blk;
+            return &e.blk;
         }
         // The cached decode predates the repair (correction/refetch)
         // of this block's memory: poison it and demand-decode the
@@ -204,7 +193,6 @@ BlockFetcher::poisonSlot(u32 flat)
     map_[flat] = kInvalid;
     e.flat = kInvalid;
     e.prefetched = false;
-    e.span.reset();
     // Park at the LRU tail: the invalidated slot is the next victim,
     // so poisoning never shrinks the effective cache.
     e.prev = tail_;
@@ -217,15 +205,6 @@ BlockFetcher::poisonSlot(u32 flat)
     ++poisons_;
     if (statPoisons_)
         statPoisons_->inc();
-}
-
-void
-BlockFetcher::quiesce()
-{
-    for (auto &span : inflight_)
-        if (!span->done)
-            resolveSpan(*span);
-    inflight_.clear();
 }
 
 void
@@ -276,7 +255,6 @@ BlockFetcher::claimSlot(u32 flat)
     Entry &e = slab_[i];
     e.flat = flat;
     e.prefetched = false;
-    e.span.reset();
     map_[flat] = i;
     return i;
 }
@@ -321,8 +299,8 @@ BlockFetcher::issuePrefetches(u32 flat)
     // Unit stride (sequential code) is the hot shape: a frontier marks
     // how far the current run has already been covered, so each access
     // extends coverage instead of rescanning the cache, and decodes
-    // are dispatched only in full spans to amortize task-dispatch
-    // overhead (the partial tail re-qualifies once the window slides).
+    // run only in full spans to amortize the batched kernel's set-up
+    // (the partial tail re-qualifies once the window slides).
     if (stride_ == 1) {
         s64 lo = std::max<s64>(frontier_, static_cast<s64>(flat) + 1);
         s64 hi =
@@ -355,57 +333,6 @@ BlockFetcher::issuePrefetches(u32 flat)
 }
 
 void
-BlockFetcher::decodeInto(const u32 *flats, unsigned count,
-                         bool contiguous, DecodedBlock *out, u8 *ok) const
-{
-    if (domain_) {
-        // Speculative decodes race ahead of verification, so they may
-        // chew on corrupt bytes; the checked decoder turns that into a
-        // per-lane failure the claim path re-verifies, never a panic.
-        for (unsigned l = 0; l < count; ++l) {
-            Result<DecodedBlock> r = decomp_.tryDecompressBlock(
-                flats[l] / kBlocksPerGroup, flats[l] % kBlocksPerGroup);
-            ok[l] = r.ok() ? 1 : 0;
-            out[l] = r.ok() ? *r : DecodedBlock{};
-        }
-        return;
-    }
-    if (ok)
-        std::fill(ok, ok + count, u8{1});
-    if (contiguous)
-        decomp_.decompressBlocks(flats[0], count, out);
-    else
-        for (unsigned l = 0; l < count; ++l)
-            out[l] = decomp_.decompressFlatBlock(flats[l]);
-}
-
-void
-BlockFetcher::resolveSpan(SpecSpan &s)
-{
-    int st = s.state.load(std::memory_order_acquire);
-    if (st == SpecSpan::Queued &&
-        s.state.compare_exchange_strong(st, SpecSpan::Running,
-                                        std::memory_order_acq_rel)) {
-        decodeInto(s.flats.data(), s.count, s.contiguous,
-                   s.blks.data(), s.ok.data());
-        s.state.store(SpecSpan::Done, std::memory_order_release);
-    } else {
-        // The worker is mid-decode: at most a few microseconds away.
-        // Spin politely; fall back to yielding only if it drags on
-        // (e.g. the worker got descheduled).
-        unsigned spins = 0;
-        while (s.state.load(std::memory_order_acquire) !=
-               SpecSpan::Done) {
-            if (++spins > 4096) {
-                std::this_thread::yield();
-                spins = 0;
-            }
-        }
-    }
-    s.done = true;
-}
-
-void
 BlockFetcher::issueSpan(const u32 *flats, unsigned count,
                         bool contiguous)
 {
@@ -413,58 +340,34 @@ BlockFetcher::issueSpan(const u32 *flats, unsigned count,
     if (statPfIssued_)
         statPfIssued_->inc(count);
 
-    if (!opts_.async) {
-        // Inline speculation: batched decode into the reusable
-        // scratch, then park each block in its slab entry. No
-        // allocation, no atomics. Lanes whose checked decode failed
-        // (domain mode, corrupt bytes) are simply not parked — the
-        // demand fetch will verify, repair, and decode them.
-        decodeInto(flats, count, contiguous, scratch_.data(),
-                   scratchOk_.data());
+    auto park = [&](u32 flat, const DecodedBlock &blk) {
+        u32 slot = claimSlot(flat);
+        Entry &e = slab_[slot];
+        e.prefetched = true;
+        e.blk = blk;
+        pushFront(slot);
+    };
+    if (domain_) {
+        // Speculative decodes race ahead of verification, so they may
+        // chew on corrupt bytes; the checked decoder turns that into a
+        // per-lane failure, never a panic. A failed lane is simply not
+        // parked — the demand fetch will verify, repair, and decode it.
         for (unsigned l = 0; l < count; ++l) {
-            if (!scratchOk_[l])
-                continue;
-            u32 slot = claimSlot(flats[l]);
-            Entry &e = slab_[slot];
-            e.prefetched = true;
-            e.blk = scratch_[l];
-            pushFront(slot);
+            Result<DecodedBlock> r = decomp_.tryDecompressBlock(
+                flats[l] / kBlocksPerGroup, flats[l] % kBlocksPerGroup);
+            if (r)
+                park(flats[l], *r);
         }
         return;
     }
-
-    auto span = std::make_shared<SpecSpan>();
-    std::copy(flats, flats + count, span->flats.begin());
-    span->count = count;
-    span->contiguous = contiguous;
-    if (!pool_)
-        pool_ = std::make_unique<ThreadPool>(
-            std::min(4u, defaultThreadCount()));
-    while (inflight_.size() >= kMaxInflight) {
-        resolveSpan(*inflight_.front());
-        inflight_.pop_front();
-    }
-    inflight_.push_back(span);
-    const BlockFetcher *self = this;
-    pool_->submit([span, self] {
-        int st = SpecSpan::Queued;
-        if (!span->state.compare_exchange_strong(
-                st, SpecSpan::Running, std::memory_order_acq_rel))
-            return; // the consumer stole it
-        self->decodeInto(span->flats.data(), span->count,
-                         span->contiguous, span->blks.data(),
-                         span->ok.data());
-        span->state.store(SpecSpan::Done, std::memory_order_release);
-    });
-
-    for (unsigned l = 0; l < count; ++l) {
-        u32 slot = claimSlot(span->flats[l]);
-        Entry &e = slab_[slot];
-        e.prefetched = true;
-        e.span = span;
-        e.lane = l;
-        pushFront(slot);
-    }
+    // Batched decode into the reusable scratch: no allocation.
+    if (contiguous)
+        decomp_.decompressBlocks(flats[0], count, scratch_.data());
+    else
+        for (unsigned l = 0; l < count; ++l)
+            scratch_[l] = decomp_.decompressFlatBlock(flats[l]);
+    for (unsigned l = 0; l < count; ++l)
+        park(flats[l], scratch_[l]);
 }
 
 } // namespace codepack

@@ -1,58 +1,38 @@
 /**
  * @file
- * Scored host-side prefetch cache over the functional decompressor —
- * the successor of the direct-mapped BlockCache memo.
+ * Scored host-side prefetch cache over the functional decompressor.
  *
  * The fetcher watches the flat-block access sequence, confirms a
  * stride (sequential fetch is stride 1), and speculatively decodes the
  * predicted next blocks with the batched multi-lane kernel
- * (Decompressor::decompressBlocks) on pool workers, so host decode
- * overlaps the caller's own work (simulated timing refills, software
- * traps). Decoded blocks live in an LRU-of-N cache.
+ * (Decompressor::decompressBlocks) inline on the caller's thread.
+ * Decoded blocks live in an LRU-of-N cache.
  *
  * The hot path is allocation-free: entries live in a fixed slab with
  * intrusive LRU links, the flat->slot map is a dense vector (flat
- * block numbers are small and bounded by the image), speculative
- * decodes are dispatched in up-to-16-block spans to amortize
- * task-dispatch cost, and a claimed block is returned by reference
- * into the span's storage — no copy.
+ * block numbers are small and bounded by the image), and speculative
+ * decodes run in up-to-16-block spans into a reused scratch buffer to
+ * amortize the batched kernel's set-up.
  *
  * Determinism: every cache decision — scoring, issue, eviction, claim,
- * every counter — happens on the caller's thread as a pure function of
- * the access sequence. Workers only write into span storage that the
- * caller reads after acquiring the span's Done state (a happens-before
- * edge), and a span the pool has not started yet is stolen and decoded
- * inline — who decodes never changes what is decoded — so hit/fill/
- * prefetch counters are byte-identical across sync and async modes,
- * pool widths, and runs. The pool is created lazily on first
- * speculative issue, which keeps forked cell workers (CPS_ISOLATE=1)
- * safe: each child builds its own pool after the fork.
- *
- * Inline (sync) speculation is the default: for a decode-bound caller
- * the batched kernel on the consumer's own thread beats the pool
- * handoff (wakeup latency costs more than the decode itself — see
- * DESIGN.md). Async pays off when the caller computes between fetches,
- * as the simulator does; opt in with CPS_BLOCK_PREFETCH=async.
+ * every counter — is a pure function of the access sequence, so
+ * hit/fill/prefetch counters are byte-identical across runs. A fetcher
+ * is single-consumer and starts no threads; any number of fetchers may
+ * share one (immutable) Decompressor.
  *
  * Knobs (read per-construction, see Options::fromEnv):
  *   CPS_BLOCK_CACHE_SLOTS  cache capacity (default 64)
- *   CPS_BLOCK_PREFETCH     "0"/"off" = plain LRU memo, "async" =
- *                          speculative decode on pool workers,
- *                          "1"/"sync" (default) = speculative batched
- *                          decode inline on the caller
+ *   CPS_BLOCK_PREFETCH     "0"/"off" = plain LRU memo, "1"/"sync"
+ *                          (default) = speculative batched decode
  */
 
 #ifndef CPS_CODEPACK_BLOCK_FETCHER_HH
 #define CPS_CODEPACK_BLOCK_FETCHER_HH
 
 #include <array>
-#include <atomic>
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/threadpool.hh"
 #include "decompressor.hh"
 #include "resilience.hh"
 
@@ -60,6 +40,13 @@ namespace cps
 {
 namespace codepack
 {
+
+/**
+ * Default BlockFetcher capacity: the CPS_BLOCK_CACHE_SLOTS environment
+ * variable when set to a positive integer, otherwise 64. Read afresh on
+ * every call so tests can flip it between constructions.
+ */
+unsigned defaultBlockCacheSlots();
 
 /** Scored prefetching LRU memo of decoded blocks. */
 class BlockFetcher
@@ -71,8 +58,6 @@ class BlockFetcher
         unsigned slots = 64;
         /** Speculatively decode predicted blocks at all. */
         bool prefetch = true;
-        /** Run speculative decodes on pool workers (else inline). */
-        bool async = false;
         /**
          * Prediction window in blocks ahead of the last access.
          * Clamped to slots/2 so speculative inserts can never evict
@@ -85,7 +70,7 @@ class BlockFetcher
         static Options fromEnv();
     };
 
-    /** Blocks decoded per speculative span (one pool dispatch). */
+    /** Blocks decoded per speculative span (one batched decode). */
     static constexpr unsigned kSpanBlocks = 16;
 
     /**
@@ -97,23 +82,19 @@ class BlockFetcher
      *        through it first, cached copies of a block whose memory
      *        was repaired are poison-invalidated and re-decoded, all
      *        decodes run checked (a corruption that slips past a weak
-     *        CRC surfaces as a structured error, never a panic), and
-     *        the caller must quiesce() before mutating domain memory.
+     *        CRC surfaces as a structured error, never a panic)
      */
     explicit BlockFetcher(const Decompressor &decomp,
                           Options opts = Options::fromEnv(),
                           StatSet *stats = nullptr,
                           SoftErrorDomain *domain = nullptr);
 
-    /** Waits out in-flight speculative decodes, then joins workers. */
-    ~BlockFetcher();
-
     BlockFetcher(const BlockFetcher &) = delete;
     BlockFetcher &operator=(const BlockFetcher &) = delete;
 
     /**
      * The decoded block, from the cache when present. The reference
-     * stays valid until the next get() (same contract as BlockCache).
+     * stays valid until the next get().
      */
     const DecodedBlock &get(u32 group, u32 block);
 
@@ -136,13 +117,6 @@ class BlockFetcher
      */
     FetchCheck lastCheck() const { return lastCheck_; }
 
-    /**
-     * Resolves every in-flight speculative decode. Callers that mutate
-     * the domain's memory (fault injectors) must quiesce first: async
-     * span workers read the image bytes concurrently.
-     */
-    void quiesce();
-
     u64 hits() const { return hits_; }
     u64 fills() const { return fills_; }
     u64 prefetchIssued() const { return pfIssued_; }
@@ -155,36 +129,11 @@ class BlockFetcher
     SoftErrorDomain *domain() const { return domain_; }
 
   private:
-    /** One batched speculative decode in flight (or finished). */
-    struct SpecSpan
-    {
-        enum : int { Queued = 0, Running = 1, Done = 2 };
-
-        std::array<u32, kSpanBlocks> flats;
-        unsigned count = 0;
-        bool contiguous = true;
-        std::array<DecodedBlock, kSpanBlocks> blks;
-        /** Per-lane checked-decode success (domain mode only; written
-         *  by the decoder before Done, read after acquiring it). */
-        std::array<u8, kSpanBlocks> ok{};
-        /**
-         * Decode ownership: a worker (or the consumer, stealing a span
-         * the pool has not started) CASes Queued->Running, decodes,
-         * and release-stores Done; blks is read only after an
-         * acquire-load of Done.
-         */
-        std::atomic<int> state{Queued};
-        /** Consumer-side memo: Done already observed. */
-        bool done = false;
-    };
-
     struct Entry
     {
         u32 flat = kInvalid;
         bool prefetched = false; ///< speculative, not yet claimed
-        std::shared_ptr<SpecSpan> span; ///< non-null for span lanes
-        unsigned lane = 0;              ///< slot in span->blks
-        DecodedBlock blk;               ///< demand-fill storage
+        DecodedBlock blk;
         u32 prev = kInvalid, next = kInvalid; ///< intrusive LRU chain
     };
     static constexpr u32 kInvalid = ~0u;
@@ -199,15 +148,9 @@ class BlockFetcher
     void poisonSlot(u32 flat);
     void train(u32 flat);
     void issuePrefetches(u32 flat);
+    /** Speculatively decodes @p count predicted blocks and parks them
+     *  as unclaimed prefetches. */
     void issueSpan(const u32 *flats, unsigned count, bool contiguous);
-    void decodeInto(const u32 *flats, unsigned count, bool contiguous,
-                    DecodedBlock *out, u8 *ok) const;
-    /**
-     * Ensures @p s is decoded: claims and decodes it inline when the
-     * pool has not started it (work stealing — the batched inline
-     * decode is cheaper than idling), else waits for the worker.
-     */
-    void resolveSpan(SpecSpan &s);
 
     const Decompressor &decomp_;
     Options opts_;
@@ -227,15 +170,8 @@ class BlockFetcher
      *  prefetch run; avoids rescanning the cache every access. */
     u32 frontier_ = 0;
 
-    /** Sync-mode decode target: reused, so no per-span allocation. */
+    /** Speculative decode target: reused, so no per-span allocation. */
     std::array<DecodedBlock, kSpanBlocks> scratch_;
-    std::array<u8, kSpanBlocks> scratchOk_{};
-
-    /** Spans submitted to the pool and not yet known-finished. */
-    std::deque<std::shared_ptr<SpecSpan>> inflight_;
-    static constexpr unsigned kMaxInflight = 4;
-
-    std::unique_ptr<ThreadPool> pool_; ///< lazily created (fork safety)
 
     SoftErrorDomain *domain_ = nullptr;
     FetchCheck lastCheck_ = FetchCheck::Clean;

@@ -195,55 +195,6 @@ class Decompressor
 };
 
 /**
- * Host-side memo of decoded blocks, keyed by (group, block). The
- * simulated decompressor hardware re-decodes a block on every I-cache
- * miss; functionally the result never changes, so the host keeps the
- * last N decoded blocks in a direct-mapped cache and skips the decode
- * entirely on a hit. Purely a host optimization: simulated timing and
- * statistics are computed from the returned block exactly as before.
- * Not thread-safe; each Machine owns its own instance.
- */
-
-/**
- * Default capacity of the host-side decoded-block memos (BlockCache and
- * BlockFetcher): the CPS_BLOCK_CACHE_SLOTS environment variable when
- * set to a positive integer, otherwise 64. Read afresh on every call so
- * tests can flip it between constructions.
- */
-unsigned defaultBlockCacheSlots();
-
-class BlockCache
-{
-  public:
-    /**
-     * @param decomp the decompressor to memoize (must outlive the cache)
-     * @param slots direct-mapped slot count (rounded up to a power of
-     *        2); 0 means defaultBlockCacheSlots()
-     */
-    explicit BlockCache(const Decompressor &decomp, unsigned slots = 0);
-
-    /** The decoded block, from the memo when present. */
-    const DecodedBlock &get(u32 group, u32 block);
-
-    u64 hits() const { return hits_; }
-    u64 fills() const { return fills_; }
-
-  private:
-    struct Slot
-    {
-        u32 flat = kInvalid;
-        DecodedBlock blk;
-    };
-    static constexpr u32 kInvalid = ~0u;
-
-    const Decompressor &decomp_;
-    std::vector<Slot> slots_;
-    u32 mask_;
-    u64 hits_ = 0;
-    u64 fills_ = 0;
-};
-
-/**
  * Structural validation of a decoded image: header-field consistency
  * (group/block counts vs paddedInsns, origTextBytes within the padded
  * region) and every index-table entry and block extent within the

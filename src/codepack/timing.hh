@@ -183,10 +183,10 @@ class DecompressorModel
     Decompressor decomp_;
     // Host-side memo: simulated hardware re-decodes a block on every
     // miss, but the functional result never changes, so the host reuses
-    // it — and speculatively decodes ahead of the access pattern on
-    // pool workers (BlockFetcher). reset() deliberately leaves the memo
-    // alone — it holds pure functions of the (immutable) image, not
-    // simulated state.
+    // it — and speculatively decodes ahead of the access pattern
+    // (BlockFetcher). reset() deliberately leaves the memo alone — it
+    // holds pure functions of the (immutable) image, not simulated
+    // state.
     BlockFetcher fetcher_;
     MainMemory &mem_;
     DecompressorConfig cfg_;

@@ -1,6 +1,8 @@
 #include "logging.hh"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -119,6 +121,32 @@ envWarnOnce(const char *name, const char *value, const char *expected)
     }
     warnImpl("ignoring malformed %s='%s' (expected %s)", name, value,
              expected);
+}
+
+u64
+parseUnsignedOption(const char *option, const std::string &value, u64 min,
+                    u64 max, int base)
+{
+    // strtoull alone skips leading blanks, negates a minus sign modulo
+    // 2^64, and stops quietly at the first non-digit: insist on a digit
+    // first and nothing after the number.
+    const char *s = value.c_str();
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = 0;
+    bool ok = std::isdigit(static_cast<unsigned char>(s[0]));
+    if (ok) {
+        v = std::strtoull(s, &end, base);
+        ok = *end == '\0' && errno != ERANGE;
+    }
+    if (!ok)
+        cps_fatal("option '%s' wants a whole unsigned number, got '%s'",
+                  option, s);
+    if (v < min || v > max)
+        cps_fatal("option '%s' must be in [%llu, %llu], got '%s'", option,
+                  static_cast<unsigned long long>(min),
+                  static_cast<unsigned long long>(max), s);
+    return static_cast<u64>(v);
 }
 
 void

@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "types.hh"
+
 namespace cps
 {
 
@@ -49,6 +51,16 @@ unsigned long warnCount();
  */
 void envWarnOnce(const char *name, const char *value,
                  const char *expected);
+
+/**
+ * The value of command-line option @p option as a whole unsigned number
+ * in [@p min, @p max]: decimal digits only, or with @p base 0 also
+ * strtoull's 0x-hex and 0-octal forms. Anything else — empty, signed,
+ * fractional, trailing garbage, out of range — is a usage error that
+ * fatal()s naming the option, never a silent 0.
+ */
+u64 parseUnsignedOption(const char *option, const std::string &value,
+                        u64 min, u64 max, int base = 10);
 
 /** Silence warn()/inform() output (counters still advance). */
 void setQuiet(bool quiet);

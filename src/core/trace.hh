@@ -198,23 +198,6 @@ class TraceReplaySource final : public TraceSource
         halted_ = false;
     }
 
-    /**
-     * Positions the stream so the next step() yields entry @p entry.
-     * The chunk-parallel engine uses this to start a worker's replay at
-     * its warm-up prefix instead of the beginning of the trace.
-     */
-    void
-    seek(size_t entry)
-    {
-        cps_assert(entry <= trace_.size(),
-                   "seek past the end of a %zu-entry trace", trace_.size());
-        cursor_ = entry;
-        halted_ = false;
-    }
-
-    /** Index of the entry the next step() will yield. */
-    size_t cursor() const { return cursor_; }
-
   private:
     const TraceBuffer &trace_;
     const DecodedText &text_;

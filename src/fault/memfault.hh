@@ -67,8 +67,7 @@ struct MemFaultRecord
  * index table, never the check arrays (modeled as the ECC spare bits of
  * a protected memory) and never the dictionaries (assumed latched
  * inside the decompressor). Callers sharing the image with a
- * SoftErrorDomain must call noteCorruption() after injecting, and
- * quiesce any BlockFetcher speculating over the image first.
+ * SoftErrorDomain must call noteCorruption() after injecting.
  */
 class MemoryFaultInjector
 {

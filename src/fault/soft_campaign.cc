@@ -69,8 +69,6 @@ runSoftCampaign(const CompressedImage &img, const SoftCampaignConfig &cfg)
     SoftErrorDomain domain(working, cfg.seed ^ 0xd0117a11ull,
                            /*flip_rate_ppm=*/0, cfg.maxRetries);
     Decompressor decomp(working);
-    BlockFetcher::Options opts;
-    opts.async = cfg.asyncFetch;
 
     SoftCampaignResult res;
     for (unsigned ki = 0; ki < kNumMemFaultKinds; ++ki) {
@@ -86,7 +84,8 @@ runSoftCampaign(const CompressedImage &img, const SoftCampaignConfig &cfg)
 
             // A fresh fetcher per trial: an unprotected run must not be
             // saved by a stale pristine copy cached from a prior trial.
-            BlockFetcher fetcher(decomp, opts, nullptr, &domain);
+            BlockFetcher fetcher(decomp, BlockFetcher::Options{}, nullptr,
+                                 &domain);
             FetchCheck check = FetchCheck::Clean;
             bool refused = false;
             bool wrong = false;

@@ -61,7 +61,6 @@ struct SoftCampaignConfig
     unsigned trials = 600;   ///< upsets per fault kind sweep
     u64 seed = 0x5eed50f7;   ///< base seed; trial t uses seed + t
     unsigned maxRetries = 2; ///< refetch budget per detection
-    bool asyncFetch = false; ///< exercise the async speculative fetcher
 };
 
 /** Aggregated soft-error campaign counts. */

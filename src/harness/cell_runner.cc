@@ -12,7 +12,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "chunked.hh"
 #include "common/byteio.hh"
 #include "common/ipc_frame.hh"
 #include "common/logging.hh"
@@ -420,15 +419,6 @@ cellKey(const RunRequest &req)
     key += strfmt("wd=%llu,%u;",
                   static_cast<unsigned long long>(p.watchdogInterval),
                   p.watchdogStallLimit);
-    // Speculative chunking changes the numbers (exact mode does not,
-    // but keying it too keeps one journal entry per execution policy).
-    const harness::ChunkOptions &chunk = harness::ChunkOptions::fromEnv();
-    if (req.mode == ReplayMode::Auto && chunk.enabled()) {
-        key += strfmt("chunk=%llu,%llu,%u;",
-                      static_cast<unsigned long long>(chunk.chunkInsns),
-                      static_cast<unsigned long long>(chunk.warmupInsns),
-                      chunk.exact ? 1u : 0u);
-    }
     return key + benchProgramKey(*req.bench->profile);
 }
 

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "asmkit/objfile.hh"
-#include "chunked.hh"
 #include "codepack/imagefile.hh"
 #include "common/logging.hh"
 #include "common/threadpool.hh"
@@ -211,16 +210,6 @@ Suite::replayEnabled()
 RunOutcome
 runMachine(const BenchProgram &bench, const MachineConfig &cfg,
            u64 max_insns, ReplayMode mode)
-{
-    const harness::ChunkOptions &chunk = harness::ChunkOptions::fromEnv();
-    if (mode == ReplayMode::Auto && chunk.enabled())
-        return harness::runMachineChunked(bench, cfg, max_insns, chunk);
-    return runMachineSerial(bench, cfg, max_insns, mode);
-}
-
-RunOutcome
-runMachineSerial(const BenchProgram &bench, const MachineConfig &cfg,
-                 u64 max_insns, ReplayMode mode)
 {
     const TraceBuffer *trace = nullptr;
     if (mode == ReplayMode::Auto && bench.trace &&

@@ -149,19 +149,13 @@ enum class ReplayMode
     ForceLive, ///< always re-execute the functional core
 };
 
-/** Builds a machine for @p bench under @p cfg and runs it. With a
- *  recorded trace that covers the run (and replay enabled), the timing
- *  models replay it — same tables, one functional execution total.
- *  When the CPS_CHUNK_* knobs enable chunk-parallel execution (and
- *  @p mode is Auto), dispatches to harness::runMachineChunked. */
+/** Builds one machine for @p bench under @p cfg and runs it serially
+ *  on the calling thread. With a recorded trace that covers the run
+ *  (and replay enabled), the timing models replay it — same tables, one
+ *  functional execution total. Parallelism lives a level up: the matrix
+ *  engine fans independent cells out across workers. */
 RunOutcome runMachine(const BenchProgram &bench, const MachineConfig &cfg,
                       u64 max_insns, ReplayMode mode = ReplayMode::Auto);
-
-/** The single-machine path runMachine dispatches to: one Machine, one
- *  serial run, no chunking regardless of the CPS_CHUNK_* knobs. */
-RunOutcome runMachineSerial(const BenchProgram &bench,
-                            const MachineConfig &cfg, u64 max_insns,
-                            ReplayMode mode = ReplayMode::Auto);
 
 /** Convenience: cycles(native) / cycles(model) on identical inputs. */
 inline double

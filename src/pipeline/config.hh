@@ -6,7 +6,6 @@
 #ifndef CPS_PIPELINE_CONFIG_HH
 #define CPS_PIPELINE_CONFIG_HH
 
-#include <functional>
 #include <string>
 
 #include "common/types.hh"
@@ -84,25 +83,6 @@ runStatusName(RunStatus status)
     }
     return "?";
 }
-
-/**
- * Warm-up gate for windowed (chunk-parallel) runs. The pipeline fires
- * the gate exactly once, at the moment the warm-up budget of retired
- * instructions is reached: it records the cycle and retired counts at
- * that instant and invokes onGate (the chunk engine snapshots the
- * machine's StatSet there). Everything simulated before the gate is
- * warm-up — caches, predictors, and decompressor state heat up, but the
- * chunk's reported body is the post-gate delta. A warmupInsns of 0
- * fires before the first instruction (cold-start accounting).
- */
-struct WarmupGate
-{
-    u64 warmupInsns = 0;          ///< retirements before counting starts
-    std::function<void()> onGate; ///< stat-snapshot hook; may be empty
-    Cycle cyclesAtGate = 0;       ///< pipeline cycle metric at the gate
-    u64 insnsAtGate = 0;          ///< retired count at the gate
-    bool fired = false;
-};
 
 /** Result of a timed run. */
 struct RunResult

@@ -63,17 +63,8 @@ class InOrderPipeline
      */
     void setTraceSink(std::vector<PipeTraceEntry> *sink) { trace_ = sink; }
 
-    /**
-     * Arms a warm-up gate for the next run (chunk-parallel engine):
-     * the pipeline records cycle/insn counts and fires gate->onGate
-     * when gate->warmupInsns instructions have retired. Pass nullptr
-     * to disable. The gate must outlive the run.
-     */
-    void setWarmupGate(WarmupGate *gate) { gate_ = gate; }
-
   private:
     std::vector<PipeTraceEntry> *trace_ = nullptr;
-    WarmupGate *gate_ = nullptr;
     PipelineConfig cfg_;
     std::unique_ptr<LiveTraceSource> ownedSrc_; ///< Executor-ctor wrapper
     TraceSource &src_;

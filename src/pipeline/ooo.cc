@@ -117,20 +117,6 @@ OoOPipeline::run(u64 max_insns)
                               cfg_.watchdogStallLimit);
     bool stalled = false;
 
-    // Fires at the same commit-stage instant a serial run of
-    // warmupInsns instructions would stop at, so cyclesAtGate equals
-    // that shorter run's result exactly (the chunk engine's
-    // telescoping identity).
-    auto fireGate = [&] {
-        gate_->fired = true;
-        gate_->cyclesAtGate = clock;
-        gate_->insnsAtGate = retired;
-        if (gate_->onGate)
-            gate_->onGate();
-    };
-    if (gate_ && !gate_->fired && gate_->warmupInsns == 0)
-        fireGate();
-
     while (retired < max_insns) {
         if (watchdog.tick(retired)) {
             stalled = true;
@@ -167,8 +153,6 @@ OoOPipeline::run(u64 max_insns)
             ++retired;
             ++committed;
             progress = true;
-            if (gate_ && !gate_->fired && retired >= gate_->warmupInsns)
-                fireGate();
             if (retired >= max_insns)
                 break;
         }

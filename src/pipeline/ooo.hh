@@ -80,14 +80,6 @@ class OoOPipeline
      *  outlive the run). Pass nullptr to disable. */
     void setTraceSink(std::vector<OooTraceEntry> *sink) { trace_ = sink; }
 
-    /**
-     * Arms a warm-up gate for the next run (chunk-parallel engine):
-     * fires in the commit stage the moment gate->warmupInsns
-     * instructions have retired. Pass nullptr to disable. The gate
-     * must outlive the run.
-     */
-    void setWarmupGate(WarmupGate *gate) { gate_ = gate; }
-
   private:
     /** The one set-up path: @p src when given, else the owned @p live. */
     OoOPipeline(const PipelineConfig &cfg, TraceSource *src,
@@ -95,7 +87,6 @@ class OoOPipeline
                 DataPath &data, StatSet &stats);
 
     std::vector<OooTraceEntry> *trace_ = nullptr;
-    WarmupGate *gate_ = nullptr;
     /** Function-unit pools, indexed by FuPool. */
     enum FuPool : unsigned
     {

@@ -169,60 +169,6 @@ Machine::setOooTraceSink(std::vector<OooTraceEntry> *sink)
     ooo_->setTraceSink(sink);
 }
 
-ChunkRunResult
-Machine::runChunk(const ChunkWindow &w)
-{
-    cps_assert(replayTrace_ != nullptr,
-               "chunk windows replay a recorded trace; none was given");
-    cps_assert(replayTrace_->covers(w.skipEntries + w.warmupInsns +
-                                        w.bodyInsns,
-                                    replayLookahead(cfg_)),
-               "trace does not cover chunk window [%llu, %llu)",
-               static_cast<unsigned long long>(w.skipEntries),
-               static_cast<unsigned long long>(w.skipEntries +
-                                               w.warmupInsns +
-                                               w.bodyInsns));
-    auto *replay = static_cast<TraceReplaySource *>(source_.get());
-    replay->seek(w.skipEntries);
-
-    ChunkRunResult out;
-    WarmupGate gate;
-    gate.warmupInsns = w.warmupInsns;
-    gate.onGate = [&] { out.statsAtGate = stats_.snapshot(); };
-    if (inorder_)
-        inorder_->setWarmupGate(&gate);
-    else
-        ooo_->setWarmupGate(&gate);
-
-    RunResult full = inorder_ ? inorder_->run(w.warmupInsns + w.bodyInsns)
-                              : ooo_->run(w.warmupInsns + w.bodyInsns);
-    if (codepack::DecompressorModel *model = decompressor();
-        model && model->softError()) {
-        full.status = RunStatus::DecodeFault;
-        full.statusDetail = model->softErrorDetail().describe();
-    }
-
-    if (inorder_)
-        inorder_->setWarmupGate(nullptr);
-    else
-        ooo_->setWarmupGate(nullptr);
-    if (full.status != RunStatus::Ok)
-        cps_warn("machine '%s' chunk aborted (%s): %s", cfg_.name.c_str(),
-                 runStatusName(full.status), full.statusDetail.c_str());
-
-    if (!gate.fired) {
-        // The program halted (or the run aborted) inside the warm-up:
-        // this window contributes nothing countable.
-        gate.cyclesAtGate = full.cycles;
-        gate.insnsAtGate = full.instructions;
-        out.statsAtGate = stats_.snapshot();
-    }
-    out.body = full;
-    out.body.instructions = full.instructions - gate.insnsAtGate;
-    out.body.cycles = full.cycles - gate.cyclesAtGate;
-    return out;
-}
-
 codepack::DecompressorModel *
 Machine::decompressor()
 {

@@ -78,30 +78,6 @@ replayLookahead(const MachineConfig &cfg)
 }
 
 /**
- * One window of a chunk-parallel run: the machine replays the recorded
- * trace from entry @c skipEntries (cold caches and predictors), retires
- * @c warmupInsns instructions with statistics gated off, then retires
- * up to @c bodyInsns counted instructions.
- */
-struct ChunkWindow
-{
-    u64 skipEntries = 0; ///< trace entries to skip before starting
-    u64 warmupInsns = 0; ///< retirements that only warm machine state
-    u64 bodyInsns = 0;   ///< retirements that count toward the result
-};
-
-/** What one chunk window contributes to a stitched run. */
-struct ChunkRunResult
-{
-    /** Body-only contribution: instructions/cycles are the post-gate
-     *  deltas; status/programExited describe the whole window. */
-    RunResult body;
-    /** Machine StatSet at the warm-up gate (sorted name/value pairs);
-     *  the chunk's stat contribution is finalStats minus this. */
-    std::vector<std::pair<std::string, u64>> statsAtGate;
-};
-
-/**
  * One program + one machine, ready to run.
  *
  * For the CodePack code models the caller provides the compressed image
@@ -125,16 +101,6 @@ class Machine
 
     /** Runs until @p max_insns commit or the program exits. */
     RunResult run(u64 max_insns);
-
-    /**
-     * Runs one chunk window of a chunk-parallel run (requires a
-     * machine constructed with a trace). Replay starts at
-     * @p w.skipEntries; the first w.warmupInsns retirements warm the
-     * machine with stats gated off, and the returned contribution is
-     * the delta from the gate to the end of the window. A fresh
-     * machine per window, please — state carries across run() calls.
-     */
-    ChunkRunResult runChunk(const ChunkWindow &w);
 
     /** True when run() replays a recorded trace instead of executing. */
     bool replaying() const { return replayTrace_ != nullptr; }

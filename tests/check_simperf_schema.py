@@ -9,7 +9,7 @@ trajectory record without any package installs.
 import json
 import sys
 
-EXPECTED_SCHEMA = 8
+EXPECTED_SCHEMA = 9
 
 # section -> keys that must be present (values are checked to be of the
 # right shape, not of any particular magnitude: wall-clock numbers are
@@ -39,7 +39,6 @@ REQUIRED = {
     ],
     "hostpf": [
         "slots",
-        "direct_blocks_per_sec",
         "lru_blocks_per_sec",
         "fetcher_blocks_per_sec",
         "warm_refill_speedup",
@@ -65,15 +64,6 @@ REQUIRED = {
         "live_seconds",
         "replay_seconds",
         "replay_speedup",
-    ],
-    "chunked": [
-        "chunk_insns",
-        "insns_per_sec_1t",
-        "insns_per_sec_2t",
-        "insns_per_sec_4t",
-        "insns_per_sec_8t",
-        "speedup_8t_vs_serial_replay",
-        "accuracy",
     ],
 }
 
@@ -126,7 +116,6 @@ def main():
     pf = doc["hostpf"]
     for key in (
         "slots",
-        "direct_blocks_per_sec",
         "lru_blocks_per_sec",
         "fetcher_blocks_per_sec",
         "warm_refill_speedup",
@@ -169,14 +158,6 @@ def main():
         if not 0.0 <= se["none_silent_rate"] <= 1.0:
             fail("softerr.none_silent_rate %r outside [0, 1]"
                  % se["none_silent_rate"])
-
-    acc = doc["chunked"]["accuracy"]
-    if not (isinstance(acc, list) and len(acc) == 3):
-        fail("chunked.accuracy should be a list of 3 entries")
-    for entry in acc:
-        for key in ("warmup", "max_ipc_delta", "max_missrate_delta"):
-            if key not in entry:
-                fail("missing key %r in chunked.accuracy entry" % key)
 
     print("check_simperf_schema: OK (schema %d)" % EXPECTED_SCHEMA)
 

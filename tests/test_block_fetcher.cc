@@ -1,11 +1,11 @@
 /**
  * @file
  * BlockFetcher tests: byte-identity of every cached/speculated block
- * against the checked bit-serial reference across all suite profiles
- * and worker counts, LRU aliasing/eviction edge cases, counter
- * conservation, sync-vs-async equivalence, and the environment knobs.
- * The async cases double as the TSan workload for the span claim/steal
- * protocol.
+ * against the checked bit-serial reference across all suite profiles,
+ * LRU aliasing/eviction edge cases, counter conservation, the
+ * environment knobs, and the soft-error domain paths. Concurrent
+ * fetchers over one shared Decompressor double as the TSan workload for
+ * the decoder's shared read-only state.
  */
 
 #include <gtest/gtest.h>
@@ -108,21 +108,6 @@ TEST(BlockFetcher, ByteIdenticalToReferenceOnAllProfiles)
     }
 }
 
-TEST(BlockFetcher, ByteIdenticalAsyncAcrossWorkerCounts)
-{
-    const BenchProgram &bench = Suite::instance().get("go");
-    Decompressor d(bench.image);
-    for (const char *threads : {"1", "2", "8"}) {
-        SCOPED_TRACE(threads);
-        EnvGuard env("CPS_THREADS", threads);
-        BlockFetcher::Options opts;
-        opts.async = true;
-        BlockFetcher fetcher(d, opts); // pool sized on first issue
-        checkByteIdentity(bench.image, fetcher);
-        EXPECT_GT(fetcher.prefetchHits(), 0u);
-    }
-}
-
 TEST(BlockFetcher, GroupBlockKeyMatchesFlatKey)
 {
     const BenchProgram &bench = Suite::instance().get("pegwit");
@@ -186,49 +171,17 @@ TEST(BlockFetcher, CountersConserveAccesses)
     const BenchProgram &bench = Suite::instance().get("go");
     Decompressor d(bench.image);
     u32 n = bench.image.numBlocks();
-    for (bool async : {false, true}) {
-        SCOPED_TRACE(async ? "async" : "sync");
-        BlockFetcher::Options opts;
-        opts.async = async;
-        BlockFetcher f(d, opts);
-        u64 accesses = 0;
-        // Sequential, strided, and pseudo-random phases.
-        for (u32 b = 0; b < n; ++b, ++accesses)
-            f.getFlat(b);
-        for (u32 b = 0; b + 7 < n; b += 7, ++accesses)
-            f.getFlat(b);
-        for (u32 i = 0; i < 1000; ++i, ++accesses)
-            f.getFlat((i * 2654435761u) % n);
-        EXPECT_EQ(f.hits() + f.fills() + f.prefetchHits(), accesses);
-        EXPECT_LE(f.prefetchHits(), f.prefetchIssued());
-    }
-}
-
-TEST(BlockFetcher, SyncAndAsyncProduceIdenticalCounters)
-{
-    const BenchProgram &bench = Suite::instance().get("cc1");
-    Decompressor d(bench.image);
-    u32 n = bench.image.numBlocks();
-    auto walk = [n](BlockFetcher &f) {
-        for (u32 b = 0; b < n; ++b)
-            f.getFlat(b);
-        for (u32 b = n; b-- > 0;)
-            f.getFlat(b);
-        for (u32 i = 0; i < 500; ++i)
-            f.getFlat((i * 40503u) % n);
-    };
-    BlockFetcher::Options sync_opts;
-    sync_opts.async = false;
-    BlockFetcher sync_f(d, sync_opts);
-    walk(sync_f);
-    BlockFetcher::Options async_opts;
-    async_opts.async = true;
-    BlockFetcher async_f(d, async_opts);
-    walk(async_f);
-    EXPECT_EQ(sync_f.hits(), async_f.hits());
-    EXPECT_EQ(sync_f.fills(), async_f.fills());
-    EXPECT_EQ(sync_f.prefetchIssued(), async_f.prefetchIssued());
-    EXPECT_EQ(sync_f.prefetchHits(), async_f.prefetchHits());
+    BlockFetcher f(d, BlockFetcher::Options{});
+    u64 accesses = 0;
+    // Sequential, strided, and pseudo-random phases.
+    for (u32 b = 0; b < n; ++b, ++accesses)
+        f.getFlat(b);
+    for (u32 b = 0; b + 7 < n; b += 7, ++accesses)
+        f.getFlat(b);
+    for (u32 i = 0; i < 1000; ++i, ++accesses)
+        f.getFlat((i * 2654435761u) % n);
+    EXPECT_EQ(f.hits() + f.fills() + f.prefetchHits(), accesses);
+    EXPECT_LE(f.prefetchHits(), f.prefetchIssued());
 }
 
 TEST(BlockFetcher, SlotsEnvKnobSetsCapacity)
@@ -255,24 +208,25 @@ TEST(BlockFetcher, PrefetchEnvKnobSelectsMode)
         EXPECT_FALSE(o.prefetch);
     }
     {
+        EnvGuard env("CPS_BLOCK_PREFETCH", "sync");
+        EXPECT_TRUE(BlockFetcher::Options::fromEnv().prefetch);
+    }
+    {
+        // Not a mode: warned about once, and the default runs.
         EnvGuard env("CPS_BLOCK_PREFETCH", "async");
-        BlockFetcher::Options o = BlockFetcher::Options::fromEnv();
-        EXPECT_TRUE(o.prefetch);
-        EXPECT_TRUE(o.async);
+        EXPECT_TRUE(BlockFetcher::Options::fromEnv().prefetch);
     }
     {
         EnvGuard env("CPS_BLOCK_PREFETCH", nullptr);
-        BlockFetcher::Options o = BlockFetcher::Options::fromEnv();
-        EXPECT_TRUE(o.prefetch);
-        EXPECT_FALSE(o.async);
+        EXPECT_TRUE(BlockFetcher::Options::fromEnv().prefetch);
     }
 }
 
 TEST(BlockFetcher, ConcurrentFetchersShareOneDecompressor)
 {
-    // Several async fetchers (each single-consumer, as required) over
-    // the same decompressor, running concurrently: exercises parallel
-    // decompressBlocks plus the claim/steal protocol under TSan.
+    // Several fetchers (each single-consumer, as required) over the
+    // same decompressor, running concurrently: exercises parallel
+    // decompressBlocks over the decoder's shared tables under TSan.
     const BenchProgram &bench = Suite::instance().get("go");
     Decompressor d(bench.image);
     Decompressor ref(bench.image, DecodeKernel::Checked);
@@ -281,9 +235,7 @@ TEST(BlockFetcher, ConcurrentFetchersShareOneDecompressor)
     std::vector<int> failures(4, 0);
     for (int t = 0; t < 4; ++t) {
         threads.emplace_back([&, t] {
-            BlockFetcher::Options opts;
-            opts.async = true;
-            BlockFetcher f(d, opts);
+            BlockFetcher f(d, BlockFetcher::Options{});
             for (u32 b = 0; b < n; ++b) {
                 u32 flat = (b + static_cast<u32>(t) * 17) % n;
                 const DecodedBlock &got = f.getFlat(flat);
@@ -342,54 +294,45 @@ TEST(BlockFetcherDomain, SecDedZeroFlipsIsByteIdentical)
 {
     // Protection on, no faults: the fetch path must decode every block
     // bit-identically to the unprotected reference.
-    for (bool async : {false, true}) {
-        SCOPED_TRACE(async ? "async" : "sync");
-        DomainRig rig("pegwit", ProtectKind::SecDed);
-        BlockFetcher::Options opts;
-        opts.async = async;
-        BlockFetcher f(*rig.decomp, opts, nullptr, rig.domain.get());
-        checkByteIdentity(rig.img, f);
-        EXPECT_EQ(f.poisons(), 0u);
-        EXPECT_EQ(rig.domain->stats().unrecoverable, 0u);
-        EXPECT_EQ(f.lastCheck(), FetchCheck::Clean);
-    }
+    DomainRig rig("pegwit", ProtectKind::SecDed);
+    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
+                   rig.domain.get());
+    checkByteIdentity(rig.img, f);
+    EXPECT_EQ(f.poisons(), 0u);
+    EXPECT_EQ(rig.domain->stats().unrecoverable, 0u);
+    EXPECT_EQ(f.lastCheck(), FetchCheck::Clean);
 }
 
 TEST(BlockFetcherDomain, CorrectsSingleFlipAndPoisonsStaleCopy)
 {
-    for (bool async : {false, true}) {
-        SCOPED_TRACE(async ? "async" : "sync");
-        DomainRig rig("pegwit", ProtectKind::SecDed);
-        Decompressor ref(rig.img, DecodeKernel::Checked);
-        BlockFetcher::Options opts;
-        opts.async = async;
-        BlockFetcher f(*rig.decomp, opts, nullptr, rig.domain.get());
+    DomainRig rig("pegwit", ProtectKind::SecDed);
+    Decompressor ref(rig.img, DecodeKernel::Checked);
+    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
+                   rig.domain.get());
 
-        u32 flat = firstBlockWithBytes(rig.img, 2);
-        Result<DecodedBlock> want = ref.tryDecompressBlock(
-            flat / kBlocksPerGroup, flat % kBlocksPerGroup);
-        ASSERT_TRUE(want.ok());
+    u32 flat = firstBlockWithBytes(rig.img, 2);
+    Result<DecodedBlock> want = ref.tryDecompressBlock(
+        flat / kBlocksPerGroup, flat % kBlocksPerGroup);
+    ASSERT_TRUE(want.ok());
 
-        expectBlockEq(f.getFlat(flat), *want, flat); // now cached
+    expectBlockEq(f.getFlat(flat), *want, flat); // now cached
 
-        f.quiesce(); // in-flight speculation reads the image bytes
-        flipWorkingBit(rig.img, flat, 5);
-        rig.domain->noteCorruption();
+    flipWorkingBit(rig.img, flat, 5);
+    rig.domain->noteCorruption();
 
-        // The verify-first fetch repairs memory in place and discards
-        // the (possibly stale) cached copy rather than trusting it.
-        Result<const DecodedBlock *> r = f.tryGetFlat(flat);
-        ASSERT_TRUE(r.ok()) << r.error().describe();
-        expectBlockEq(**r, *want, flat);
-        EXPECT_EQ(f.lastCheck(), FetchCheck::Corrected);
-        EXPECT_GE(f.poisons(), 1u);
-        EXPECT_EQ(rig.domain->stats().corrected, 1u);
-        EXPECT_EQ(rig.domain->stats().unrecoverable, 0u);
+    // The verify-first fetch repairs memory in place and discards the
+    // (possibly stale) cached copy rather than trusting it.
+    Result<const DecodedBlock *> r = f.tryGetFlat(flat);
+    ASSERT_TRUE(r.ok()) << r.error().describe();
+    expectBlockEq(**r, *want, flat);
+    EXPECT_EQ(f.lastCheck(), FetchCheck::Corrected);
+    EXPECT_GE(f.poisons(), 1u);
+    EXPECT_EQ(rig.domain->stats().corrected, 1u);
+    EXPECT_EQ(rig.domain->stats().unrecoverable, 0u);
 
-        // Memory was repaired: the next fetch verifies clean.
-        expectBlockEq(f.getFlat(flat), *want, flat);
-        EXPECT_EQ(f.lastCheck(), FetchCheck::Clean);
-    }
+    // Memory was repaired: the next fetch verifies clean.
+    expectBlockEq(f.getFlat(flat), *want, flat);
+    EXPECT_EQ(f.lastCheck(), FetchCheck::Clean);
 }
 
 TEST(BlockFetcherDomain, RefetchRecoversWhatCrcOnlyDetects)
@@ -404,7 +347,6 @@ TEST(BlockFetcherDomain, RefetchRecoversWhatCrcOnlyDetects)
     ASSERT_TRUE(want.ok());
 
     expectBlockEq(f.getFlat(flat), *want, flat);
-    f.quiesce();
     flipWorkingBit(rig.img, flat, 9);
     rig.domain->noteCorruption();
 
@@ -418,39 +360,34 @@ TEST(BlockFetcherDomain, RefetchRecoversWhatCrcOnlyDetects)
 
 TEST(BlockFetcherDomain, UnrecoverableSurfacesStructuredError)
 {
-    for (bool async : {false, true}) {
-        SCOPED_TRACE(async ? "async" : "sync");
-        DomainRig rig("pegwit", ProtectKind::Crc8);
-        BlockFetcher::Options opts;
-        opts.async = async;
-        BlockFetcher f(*rig.decomp, opts, nullptr, rig.domain.get());
-        u32 flat = firstBlockWithBytes(rig.img, 2);
+    DomainRig rig("pegwit", ProtectKind::Crc8);
+    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
+                   rig.domain.get());
+    u32 flat = firstBlockWithBytes(rig.img, 2);
 
-        (void)f.getFlat(flat);
-        f.quiesce();
-        // Damage the working copy AND the refetch source at the same
-        // bit: detection persists through the whole retry budget.
-        flipWorkingBit(rig.img, flat, 3);
-        rig.domain->corruptBacking(flat, 3);
-        rig.domain->noteCorruption();
+    (void)f.getFlat(flat);
+    // Damage the working copy AND the refetch source at the same bit:
+    // detection persists through the whole retry budget.
+    flipWorkingBit(rig.img, flat, 3);
+    rig.domain->corruptBacking(flat, 3);
+    rig.domain->noteCorruption();
 
-        Result<const DecodedBlock *> r = f.tryGetFlat(flat);
-        ASSERT_FALSE(r.ok());
-        EXPECT_EQ(r.error().status, DecodeStatus::SoftError);
-        EXPECT_NE(r.error().message.find(
-                      strfmt("group %u block %u", flat / kBlocksPerGroup,
-                             flat % kBlocksPerGroup)),
-                  std::string::npos)
-            << r.error().message;
-        EXPECT_EQ(f.lastCheck(), FetchCheck::Unrecoverable);
-        EXPECT_GE(f.poisons(), 1u);
-        EXPECT_EQ(rig.domain->stats().unrecoverable, 1u);
+    Result<const DecodedBlock *> r = f.tryGetFlat(flat);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().status, DecodeStatus::SoftError);
+    EXPECT_NE(r.error().message.find(
+                  strfmt("group %u block %u", flat / kBlocksPerGroup,
+                         flat % kBlocksPerGroup)),
+              std::string::npos)
+        << r.error().message;
+    EXPECT_EQ(f.lastCheck(), FetchCheck::Unrecoverable);
+    EXPECT_GE(f.poisons(), 1u);
+    EXPECT_EQ(rig.domain->stats().unrecoverable, 1u);
 
-        // Other blocks keep fetching normally after the failure.
-        u32 other = (flat + 1) % rig.img.numBlocks();
-        if (other != flat) {
-            EXPECT_TRUE(f.tryGetFlat(other).ok());
-        }
+    // Other blocks keep fetching normally after the failure.
+    u32 other = (flat + 1) % rig.img.numBlocks();
+    if (other != flat) {
+        EXPECT_TRUE(f.tryGetFlat(other).ok());
     }
 }
 
@@ -474,32 +411,27 @@ TEST(BlockFetcherDomain, SelfInjectionSoakStaysByteIdentical)
 
 TEST(BlockFetcherDomain, CountersConserveAccessesThroughPoisons)
 {
-    for (bool async : {false, true}) {
-        SCOPED_TRACE(async ? "async" : "sync");
-        DomainRig rig("go", ProtectKind::SecDed);
-        BlockFetcher::Options opts;
-        opts.async = async;
-        BlockFetcher f(*rig.decomp, opts, nullptr, rig.domain.get());
-        u32 n = rig.img.numBlocks();
-        u64 accesses = 0;
-        for (u32 b = 0; b < n; ++b, ++accesses)
-            ASSERT_TRUE(f.tryGetFlat(b).ok());
-        // Corrupt a few resident blocks, then sweep again: every
-        // poisoned re-decode must be accounted as a fill.
-        f.quiesce();
-        for (u32 b = 0; b < n; b += n / 7 + 1)
-            if (rig.img.blocks[b].byteLen > 0)
-                flipWorkingBit(rig.img, b, 1);
-        rig.domain->noteCorruption();
-        for (u32 b = 0; b < n; ++b, ++accesses)
-            ASSERT_TRUE(f.tryGetFlat(b).ok());
-        EXPECT_EQ(f.hits() + f.fills() + f.prefetchHits(), accesses);
-        EXPECT_GT(f.poisons(), 0u);
-        EXPECT_GT(rig.domain->stats().corrected, 0u);
-        // Verify-first repaired memory in place, so the whole image
-        // still decodes byte-identically.
-        checkByteIdentity(rig.img, f);
-    }
+    DomainRig rig("go", ProtectKind::SecDed);
+    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
+                   rig.domain.get());
+    u32 n = rig.img.numBlocks();
+    u64 accesses = 0;
+    for (u32 b = 0; b < n; ++b, ++accesses)
+        ASSERT_TRUE(f.tryGetFlat(b).ok());
+    // Corrupt a few resident blocks, then sweep again: every poisoned
+    // re-decode must be accounted as a fill.
+    for (u32 b = 0; b < n; b += n / 7 + 1)
+        if (rig.img.blocks[b].byteLen > 0)
+            flipWorkingBit(rig.img, b, 1);
+    rig.domain->noteCorruption();
+    for (u32 b = 0; b < n; ++b, ++accesses)
+        ASSERT_TRUE(f.tryGetFlat(b).ok());
+    EXPECT_EQ(f.hits() + f.fills() + f.prefetchHits(), accesses);
+    EXPECT_GT(f.poisons(), 0u);
+    EXPECT_GT(rig.domain->stats().corrected, 0u);
+    // Verify-first repaired memory in place, so the whole image still
+    // decodes byte-identically.
+    checkByteIdentity(rig.img, f);
 }
 
 } // namespace
