@@ -3,10 +3,12 @@
  * Golden digests of the out-of-order timing model. Each case runs a
  * fixed program on a fixed machine and folds three things into one
  * 64-bit digest: the per-instruction OooTraceEntry stream (pc and the
- * fetch/issue/done/commit cycles), the RunResult, and every StatSet
- * counter. A host-only change to the model (a faster scheduler, a new
- * data layout) must leave every digest unchanged, down to the issue
- * cycle of each instruction.
+ * fetch/issue/done/commit cycles), the RunResult, and every simulated
+ * StatSet counter. The host block memo's "hostpf." counters are left
+ * out: they count the simulator's own decode work. A host-only change
+ * to the model (a faster scheduler, a new data layout, a different
+ * host block cache) must leave every digest unchanged, down to the
+ * issue cycle of each instruction.
  *
  * A deliberate timing change re-records them: each mismatch prints the
  * case name and its new digest.
@@ -78,6 +80,10 @@ timingDigest(Machine &m, u64 max_insns)
     d.add(r.programExited);
     d.add(static_cast<u64>(r.status));
     for (const auto &[name, value] : m.stats().snapshot()) {
+        // The host block memo's counters describe the simulator, not
+        // the simulated machine.
+        if (name.starts_with("hostpf."))
+            continue;
         d.add(name);
         d.add(value);
     }
@@ -92,53 +98,53 @@ struct Golden
 
 const Golden kGolden[] = {
     {"cc1/4-issue/native", 0x62db7643c3c82160ULL},
-    {"cc1/4-issue/codepack", 0xb60292220128c6f7ULL},
-    {"cc1/4-issue/optimized", 0xc91aa4f1e4c21694ULL},
+    {"cc1/4-issue/codepack", 0xe91e8494ef98cdaaULL},
+    {"cc1/4-issue/optimized", 0xf5338605bd5ff5c2ULL},
     {"cc1/8-issue/native", 0x76ce5e8b6ce9a2a1ULL},
-    {"cc1/8-issue/codepack", 0x37332d039f1d2c9bULL},
-    {"cc1/8-issue/optimized", 0x5a55d379038712daULL},
+    {"cc1/8-issue/codepack", 0xf2e35ec567734ef5ULL},
+    {"cc1/8-issue/optimized", 0x5d5e6792a9bbd6b0ULL},
     {"go/4-issue/native", 0xeb050472f89aa41dULL},
-    {"go/4-issue/codepack", 0xe6c8c331e9ede68bULL},
-    {"go/4-issue/optimized", 0xa161ffc400599c79ULL},
+    {"go/4-issue/codepack", 0x45027bb406076e48ULL},
+    {"go/4-issue/optimized", 0xe6da7be9832e7497ULL},
     {"go/8-issue/native", 0xef1d0706b96b2b57ULL},
-    {"go/8-issue/codepack", 0xbbbd834e6ac910fcULL},
-    {"go/8-issue/optimized", 0x7780497f054fa07cULL},
+    {"go/8-issue/codepack", 0x474db95e4590d3f6ULL},
+    {"go/8-issue/optimized", 0xe0b2c33cb33aab23ULL},
     {"mpeg2enc/4-issue/native", 0xc67f3f2d6bcf2d31ULL},
-    {"mpeg2enc/4-issue/codepack", 0x95eaec7fed8a83f0ULL},
-    {"mpeg2enc/4-issue/optimized", 0x082547add2409e0eULL},
+    {"mpeg2enc/4-issue/codepack", 0x84c65f0a441e1f77ULL},
+    {"mpeg2enc/4-issue/optimized", 0x7044737bf08c68a4ULL},
     {"mpeg2enc/8-issue/native", 0x59bafaf50053dc61ULL},
-    {"mpeg2enc/8-issue/codepack", 0x5553daea0f4fbd48ULL},
-    {"mpeg2enc/8-issue/optimized", 0x5813d432b24de437ULL},
+    {"mpeg2enc/8-issue/codepack", 0x03286e15c155ae75ULL},
+    {"mpeg2enc/8-issue/optimized", 0x730d7dae517d6503ULL},
     {"pegwit/4-issue/native", 0x0fbd0f8270227116ULL},
-    {"pegwit/4-issue/codepack", 0x95ec38beb0d6238aULL},
-    {"pegwit/4-issue/optimized", 0x2a6dc7d57463eb71ULL},
+    {"pegwit/4-issue/codepack", 0xca50a568b81bb1afULL},
+    {"pegwit/4-issue/optimized", 0x2f10833e54f7a2edULL},
     {"pegwit/8-issue/native", 0x9c022f9c1f43d43cULL},
-    {"pegwit/8-issue/codepack", 0x9dfbf25af17a5d8aULL},
-    {"pegwit/8-issue/optimized", 0x3d15bfa774aef3abULL},
+    {"pegwit/8-issue/codepack", 0xd54d6921c5a6f2c0ULL},
+    {"pegwit/8-issue/optimized", 0x0aad871195a92805ULL},
     {"perl/4-issue/native", 0xdffc4ce0e65c0042ULL},
-    {"perl/4-issue/codepack", 0x16d992cac2d0a6ffULL},
-    {"perl/4-issue/optimized", 0xac573896f7ab096bULL},
+    {"perl/4-issue/codepack", 0x2446ef59d0b9077eULL},
+    {"perl/4-issue/optimized", 0xc20d4c2a426b3250ULL},
     {"perl/8-issue/native", 0xc8128c4e353bab55ULL},
-    {"perl/8-issue/codepack", 0x57778da6e983f178ULL},
-    {"perl/8-issue/optimized", 0xff50aa88883b01baULL},
+    {"perl/8-issue/codepack", 0x1ae82d368c6b6bc5ULL},
+    {"perl/8-issue/optimized", 0x29ae97bf92c32a12ULL},
     {"vortex/4-issue/native", 0x2053642ebcde7bacULL},
-    {"vortex/4-issue/codepack", 0xf653ccb2b00f0b00ULL},
-    {"vortex/4-issue/optimized", 0x5fede811f6edaddeULL},
+    {"vortex/4-issue/codepack", 0x59cc526ad621ace9ULL},
+    {"vortex/4-issue/optimized", 0xecf33c66e5cd53e0ULL},
     {"vortex/8-issue/native", 0x770a17768244abccULL},
-    {"vortex/8-issue/codepack", 0x5671464b3f4ef0c9ULL},
-    {"vortex/8-issue/optimized", 0x9bb05cc9fff1234cULL},
+    {"vortex/8-issue/codepack", 0x537278ffd6b9c4b7ULL},
+    {"vortex/8-issue/optimized", 0x95331325341dbfc1ULL},
     {"perl-s5eed1/ruu24-lsq6/native", 0x4f86ce23f9f6fe3eULL},
-    {"perl-s5eed1/ruu24-lsq6/codepack", 0x8babd34fc2242c37ULL},
+    {"perl-s5eed1/ruu24-lsq6/codepack", 0x27f88867157583daULL},
     {"perl-s5eed1/2wide-1alu-1mem/native", 0xf632c756d0bdbbdaULL},
-    {"perl-s5eed1/2wide-1alu-1mem/codepack", 0x65f721cbc95ab710ULL},
+    {"perl-s5eed1/2wide-1alu-1mem/codepack", 0xd38a14da4834af0dULL},
     {"perl-s5eed1/8wide-lsq4/native", 0x37597a8ca3de71cdULL},
-    {"perl-s5eed1/8wide-lsq4/codepack", 0xd5298711a128955dULL},
+    {"perl-s5eed1/8wide-lsq4/codepack", 0x38607beda3674f98ULL},
     {"mpeg2enc-s5eed2/ruu24-lsq6/native", 0x803a2bcd5eabcf8bULL},
-    {"mpeg2enc-s5eed2/ruu24-lsq6/codepack", 0x65897b8bbb6719b5ULL},
+    {"mpeg2enc-s5eed2/ruu24-lsq6/codepack", 0x7748416c47c0ba61ULL},
     {"mpeg2enc-s5eed2/2wide-1alu-1mem/native", 0x490e7729971a9500ULL},
-    {"mpeg2enc-s5eed2/2wide-1alu-1mem/codepack", 0x9907d148e51f3b00ULL},
+    {"mpeg2enc-s5eed2/2wide-1alu-1mem/codepack", 0x19b9f93856b5ed8fULL},
     {"mpeg2enc-s5eed2/8wide-lsq4/native", 0x5d66f46643dded3dULL},
-    {"mpeg2enc-s5eed2/8wide-lsq4/codepack", 0x3514f4338b841c96ULL},
+    {"mpeg2enc-s5eed2/8wide-lsq4/codepack", 0x14bc041bed641385ULL},
     {"multdiv/4-issue", 0x633f55e20c45a4faULL},
     {"multdiv/8-issue", 0x9a0874b39c845a99ULL},
     {"multdiv/2wide-1alu-1mem", 0xdbe382a2b3f9241cULL},
