@@ -3,14 +3,14 @@
  * Extension experiment: host-side simulator performance. Unlike every
  * other bench, the numbers here are about the *simulator*, not the
  * simulated machine — pregeneration against a cold vs. warm artifact
- * cache, CodePack compression serial vs. parallel, how fast each decode
- * kernel chews through compressed blocks compared to the checked
- * bit-serial reference, the host block fetcher with and without
- * speculative decode, how many instructions per second the models
- * simulate (driving the functional core live vs. replaying the
- * recorded trace), and the wall-clock of a full experiment-matrix
+ * cache, CodePack compression serial vs. parallel, how fast the
+ * trusted decode kernel chews through compressed blocks compared to
+ * the checked bit-serial reference, how many instructions per second
+ * the models simulate (driving the functional core live vs. replaying
+ * the recorded trace), and the wall-clock of a full experiment-matrix
  * regeneration serial vs. parallel and live vs. replay (the
- * `runMatrix` engine, worker count from CPS_THREADS).
+ * `runMatrix` engine, worker count from CPS_THREADS). The host block
+ * fetcher is timed by bench_micro_components (BM_BlockFetcherFetch).
  *
  * Besides the human-readable table the bench writes BENCH_simperf.json
  * into the working directory so later changes can track the host-perf
@@ -25,10 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "codepack/block_fetcher.hh"
 #include "codepack/decompressor.hh"
 #include "common/artifact_cache.hh"
-#include "common/simd.hh"
 #include "common/table.hh"
 #include "common/threadpool.hh"
 #include "harness/engine.hh"
@@ -50,8 +48,11 @@ using Clock = std::chrono::steady_clock;
  * Schema 9: the "chunked" section and hostpf.direct_blocks_per_sec are
  * gone; hostpf.warm_refill_speedup is the fetcher against the
  * prefetch-off LRU.
+ * Schema 10: the "hostpf" section, the scalar-compress keys and the
+ * per-kernel and batched decode keys are gone; "decode" holds the
+ * checked reference, the one trusted kernel and their speedup.
  */
-constexpr int kSchema = 9;
+constexpr int kSchema = 10;
 
 double
 secondsSince(Clock::time_point start)
@@ -150,7 +151,7 @@ main()
 
     suite.pregenerate();
 
-    // --- 1. Trusted LUT decode vs checked bit-serial reference --------
+    // --- 1. The largest image, for the compress and decode timings ----
     const BenchProgram *largest = nullptr;
     for (const std::string &name : suite.names()) {
         const BenchProgram &bench = suite.get(name);
@@ -165,10 +166,9 @@ main()
     comp_words.reserve(largest->program.textWords());
     for (size_t i = 0; i < largest->program.textWords(); ++i)
         comp_words.push_back(largest->program.word(i));
-    auto timeCompress = [&](unsigned threads, bool simd) {
+    auto timeCompress = [&](unsigned threads) {
         codepack::CompressorConfig cfg;
         cfg.threads = threads;
-        cfg.simd = simd;
         double best = 1e300;
         for (int rep = 0; rep < 3; ++rep) {
             auto start = Clock::now();
@@ -180,116 +180,28 @@ main()
         return best;
     };
     unsigned workers = defaultThreadCount();
-    double compress_serial_s = timeCompress(1, true);
-    double compress_parallel_s = timeCompress(workers, true);
-    double compress_scalar_s = timeCompress(1, false);
+    double compress_serial_s = timeCompress(1);
+    double compress_parallel_s = timeCompress(workers);
     double compress_speedup =
         compress_serial_s /
         (compress_parallel_s > 0 ? compress_parallel_s : 1.0);
-    double simd_speedup =
-        compress_scalar_s /
-        (compress_serial_s > 0 ? compress_serial_s : 1.0);
 
-    // --- 1c. The decode kernel ladder, per block -----------------------
-    // Single-block latency for each rung, plus the batched entry point
-    // (decompressBlocks interleaves up to four independent block
-    // streams per loop) — the batched ns/block is the headline number.
-    auto kernelBps = [&](codepack::DecodeKernel k) {
-        codepack::Decompressor d(largest->image, k);
-        return blocksPerSecond(blocks, [&](u32 b) {
-            codepack::DecodedBlock blk = d.decompressFlatBlock(b);
-            asm volatile("" : : "r"(blk.words[0]) : "memory");
-        });
-    };
-    double checked_bps = kernelBps(codepack::DecodeKernel::Checked);
-    double lut_bps = kernelBps(codepack::DecodeKernel::Lut);
-    double lut2_bps = kernelBps(codepack::DecodeKernel::Lut2);
-    codepack::Decompressor batch_decomp(largest->image,
-                                        codepack::DecodeKernel::Lut2);
-    std::vector<codepack::DecodedBlock> batch_out(blocks);
-    auto batchedBps = [&] {
-        // One decompressBlocks sweep per window pass; normalize the
-        // best-window convention by timing whole sweeps directly.
-        for (int warm = 0; warm < 2; ++warm)
-            batch_decomp.decompressBlocks(0, blocks, batch_out.data());
-        double best = 0;
-        for (int rep = 0; rep < 5; ++rep) {
-            u64 decoded = 0;
-            auto start = Clock::now();
-            double elapsed = 0;
-            do {
-                batch_decomp.decompressBlocks(0, blocks,
-                                              batch_out.data());
-                asm volatile("" : : "r"(batch_out.data()) : "memory");
-                decoded += blocks;
-                elapsed = secondsSince(start);
-            } while (elapsed < 0.2);
-            best =
-                std::max(best, static_cast<double>(decoded) / elapsed);
-        }
-        return best;
-    };
-    double batched_bps = batchedBps();
+    // --- 1c. Trusted kernel vs checked bit-serial reference ---------
+    codepack::Decompressor decomp(largest->image);
+    double checked_bps = blocksPerSecond(blocks, [&](u32 b) {
+        Result<codepack::DecodedBlock> blk = decomp.tryDecompressBlock(
+            b / codepack::kBlocksPerGroup, b % codepack::kBlocksPerGroup);
+        asm volatile("" : : "r"(blk.value().words[0]) : "memory");
+    });
+    double trusted_bps = blocksPerSecond(blocks, [&](u32 b) {
+        codepack::DecodedBlock blk = decomp.decompressFlatBlock(b);
+        asm volatile("" : : "r"(blk.words[0]) : "memory");
+    });
     double decode_speedup =
-        batched_bps / (checked_bps > 0 ? checked_bps : 1.0);
+        trusted_bps / (checked_bps > 0 ? checked_bps : 1.0);
     auto nsPerBlock = [](double bps) {
         return bps > 0 ? 1e9 / bps : 0.0;
     };
-
-    // --- 1d. Host block cache: plain LRU vs scored prefetch ----------
-    // Warm-refill throughput of the fetcher with and without
-    // speculative decode on a sequential sweep over every block of the
-    // largest image. The image holds far more blocks than the 64-slot
-    // cache, so every sweep is a full refill — the case the batched
-    // speculative decode is meant to win.
-    const unsigned hostpf_slots = 64;
-    codepack::BlockFetcher::Options lru_opts;
-    lru_opts.slots = hostpf_slots;
-    lru_opts.prefetch = false;
-    codepack::BlockFetcher lru_fetch(batch_decomp, lru_opts);
-    codepack::BlockFetcher::Options pf_opts;
-    pf_opts.slots = hostpf_slots;
-    codepack::BlockFetcher pf_fetch(batch_decomp, pf_opts);
-    auto lruSweep = [&](u32 b) {
-        const codepack::DecodedBlock &blk = lru_fetch.getFlat(b);
-        asm volatile("" : : "r"(blk.words[0]) : "memory");
-    };
-    auto pfSweep = [&](u32 b) {
-        const codepack::DecodedBlock &blk = pf_fetch.getFlat(b);
-        asm volatile("" : : "r"(blk.words[0]) : "memory");
-    };
-    // One ~0.2 s timing window; the two caches take their windows
-    // interleaved, rep by rep, so slow drift (turbo decay, a noisy
-    // neighbor) hits both alike instead of biasing the ratio.
-    auto window = [&](auto &&sweep) {
-        u64 decoded = 0;
-        auto start = Clock::now();
-        double elapsed = 0;
-        do {
-            for (u32 b = 0; b < blocks; ++b)
-                sweep(b);
-            decoded += blocks;
-            elapsed = secondsSince(start);
-        } while (elapsed < 0.2);
-        return static_cast<double>(decoded) / elapsed;
-    };
-    for (u32 b = 0; b < blocks; ++b) { // warm both
-        lruSweep(b);
-        pfSweep(b);
-    }
-    double lru_bps = 0, fetcher_bps = 0;
-    for (int rep = 0; rep < 5; ++rep) {
-        lru_bps = std::max(lru_bps, window(lruSweep));
-        fetcher_bps = std::max(fetcher_bps, window(pfSweep));
-    }
-    double warm_refill_speedup =
-        fetcher_bps / (lru_bps > 0 ? lru_bps : 1.0);
-    u64 hostpf_issued = pf_fetch.prefetchIssued();
-    u64 hostpf_hits = pf_fetch.prefetchHits();
-    double hostpf_hit_rate =
-        hostpf_issued == 0 ? 0.0
-                           : static_cast<double>(hostpf_hits) /
-                                 static_cast<double>(hostpf_issued);
 
     // --- 2. Simulated instructions per second, live vs replay ---------
     const BenchProgram &go = suite.get("go");
@@ -361,40 +273,14 @@ main()
     t.addRow({strfmt("CodePack compress, %u workers", workers),
               strfmt("%.4f s (%.2fx)", compress_parallel_s,
                      compress_speedup)});
-    t.addRow({strfmt("CodePack compress, scalar loops (no %s)",
-                     simd::kBackend),
-              strfmt("%.4f s (simd %.2fx)", compress_scalar_s,
-                     simd_speedup)});
     t.addRow({"decode, checked bit-serial",
               strfmt("%s blocks/s (%.1f ns/block)",
                      grouped(checked_bps).c_str(),
                      nsPerBlock(checked_bps))});
-    t.addRow({"decode, lut kernel",
-              strfmt("%s blocks/s (%.1f ns/block)",
-                     grouped(lut_bps).c_str(), nsPerBlock(lut_bps))});
-    t.addRow({"decode, lut2 kernel",
-              strfmt("%s blocks/s (%.1f ns/block)",
-                     grouped(lut2_bps).c_str(), nsPerBlock(lut2_bps))});
-    t.addRow({"decode, lut2 batched (headline)",
-              strfmt("%s blocks/s (%.1f ns/block)",
-                     grouped(batched_bps).c_str(),
-                     nsPerBlock(batched_bps))});
-    t.addRow({"batched speedup over checked",
-              strfmt("%.2fx (default kernel: %s)", decode_speedup,
-                     codepack::decodeKernelName(
-                         codepack::defaultDecodeKernel()))});
-    t.addRow({strfmt("host cache, LRU %u, no prefetch", hostpf_slots),
-              strfmt("%s blocks/s (%.1f ns/block)",
-                     grouped(lru_bps).c_str(), nsPerBlock(lru_bps))});
-    t.addRow({strfmt("host cache, scored prefetch %u", hostpf_slots),
-              strfmt("%s blocks/s (%.1f ns/block, %.2fx vs LRU)",
-                     grouped(fetcher_bps).c_str(),
-                     nsPerBlock(fetcher_bps), warm_refill_speedup)});
-    t.addRow({"host prefetch accuracy",
-              strfmt("%s issued, %s claimed (%.1f%%)",
-                     TextTable::grouped(hostpf_issued).c_str(),
-                     TextTable::grouped(hostpf_hits).c_str(),
-                     hostpf_hit_rate * 100.0)});
+    t.addRow({"decode, trusted lut kernel",
+              strfmt("%s blocks/s (%.1f ns/block, %.2fx checked)",
+                     grouped(trusted_bps).c_str(),
+                     nsPerBlock(trusted_bps), decode_speedup)});
     t.addRow({"4-issue native simulation, live",
               strfmt("%s insns/s", grouped(native_ips).c_str())});
     t.addRow({"4-issue native simulation, replay",
@@ -443,32 +329,15 @@ main()
         "  \"compress\": {\n"
         "    \"serial_seconds\": %.5f,\n"
         "    \"parallel_seconds\": %.5f,\n"
-        "    \"scalar_seconds\": %.5f,\n"
         "    \"workers\": %u,\n"
-        "    \"speedup\": %.3f,\n"
-        "    \"simd_backend\": \"%s\",\n"
-        "    \"simd_speedup\": %.3f\n"
+        "    \"speedup\": %.3f\n"
         "  },\n"
         "  \"decode\": {\n"
-        "    \"kernel_default\": \"%s\",\n"
         "    \"checked_blocks_per_sec\": %.0f,\n"
-        "    \"lut_blocks_per_sec\": %.0f,\n"
-        "    \"lut2_blocks_per_sec\": %.0f,\n"
-        "    \"batched_blocks_per_sec\": %.0f,\n"
+        "    \"trusted_blocks_per_sec\": %.0f,\n"
         "    \"checked_ns_per_block\": %.1f,\n"
-        "    \"lut_ns_per_block\": %.1f,\n"
-        "    \"lut2_ns_per_block\": %.1f,\n"
-        "    \"batched_ns_per_block\": %.1f,\n"
-        "    \"batched_speedup\": %.3f\n"
-        "  },\n"
-        "  \"hostpf\": {\n"
-        "    \"slots\": %u,\n"
-        "    \"lru_blocks_per_sec\": %.0f,\n"
-        "    \"fetcher_blocks_per_sec\": %.0f,\n"
-        "    \"warm_refill_speedup\": %.3f,\n"
-        "    \"prefetch_issued\": %llu,\n"
-        "    \"prefetch_hits\": %llu,\n"
-        "    \"prefetch_hit_rate\": %.4f\n"
+        "    \"trusted_ns_per_block\": %.1f,\n"
+        "    \"speedup\": %.3f\n"
         "  },\n"
         "  \"simulation\": {\n"
         "    \"native_insns_per_sec\": %.0f,\n"
@@ -491,16 +360,9 @@ main()
         "  }\n"
         "}\n",
         kSchema, pregen_cold_s, pregen_warm_s, pregen_speedup,
-        compress_serial_s, compress_parallel_s, compress_scalar_s,
-        workers, compress_speedup, simd::kBackend, simd_speedup,
-        codepack::decodeKernelName(codepack::defaultDecodeKernel()),
-        checked_bps, lut_bps, lut2_bps, batched_bps,
-        nsPerBlock(checked_bps), nsPerBlock(lut_bps),
-        nsPerBlock(lut2_bps), nsPerBlock(batched_bps),
-        decode_speedup, hostpf_slots, lru_bps, fetcher_bps,
-        warm_refill_speedup,
-        static_cast<unsigned long long>(hostpf_issued),
-        static_cast<unsigned long long>(hostpf_hits), hostpf_hit_rate,
+        compress_serial_s, compress_parallel_s, workers,
+        compress_speedup, checked_bps, trusted_bps,
+        nsPerBlock(checked_bps), nsPerBlock(trusted_bps), decode_speedup,
         native_ips, native_replay_ips,
         cp_ips, cp_replay_ips, inorder_ips, inorder_replay_ips,
         reqs.size(),

@@ -1,35 +1,27 @@
 /**
  * @file
- * Scored host-side prefetch cache over the functional decompressor.
+ * Host-side LRU memo of decoded blocks over the functional
+ * decompressor.
  *
- * The fetcher watches the flat-block access sequence, confirms a
- * stride (sequential fetch is stride 1), and speculatively decodes the
- * predicted next blocks with the batched multi-lane kernel
- * (Decompressor::decompressBlocks) inline on the caller's thread.
- * Decoded blocks live in an LRU-of-N cache.
+ * The fetcher decodes only what its caller asks for, one block per
+ * miss, as the paper's CodePack unit does; a hit returns the cached
+ * copy. It never decodes ahead: decoding predicted spans made Table 10
+ * slower and no table faster (DESIGN.md, "Adaptive decompression
+ * prefetch").
  *
  * The hot path is allocation-free: entries live in a fixed slab with
- * intrusive LRU links, the flat->slot map is a dense vector (flat
- * block numbers are small and bounded by the image), and speculative
- * decodes run in up-to-16-block spans into a reused scratch buffer to
- * amortize the batched kernel's set-up.
+ * intrusive LRU links, and the flat->slot map is a dense vector (flat
+ * block numbers are small and bounded by the image).
  *
- * Determinism: every cache decision — scoring, issue, eviction, claim,
- * every counter — is a pure function of the access sequence, so
- * hit/fill/prefetch counters are byte-identical across runs. A fetcher
- * is single-consumer and starts no threads; any number of fetchers may
- * share one (immutable) Decompressor.
- *
- * Knobs (read per-construction, see Options::fromEnv):
- *   CPS_BLOCK_CACHE_SLOTS  cache capacity (default 64)
- *   CPS_BLOCK_PREFETCH     "0"/"off" = plain LRU memo, "1"/"sync"
- *                          (default) = speculative batched decode
+ * Determinism: every cache decision and counter is a pure function of
+ * the access sequence. A fetcher is single-consumer and starts no
+ * threads; any number of fetchers may share one (immutable)
+ * Decompressor.
  */
 
 #ifndef CPS_CODEPACK_BLOCK_FETCHER_HH
 #define CPS_CODEPACK_BLOCK_FETCHER_HH
 
-#include <array>
 #include <vector>
 
 #include "common/stats.hh"
@@ -41,41 +33,15 @@ namespace cps
 namespace codepack
 {
 
-/**
- * Default BlockFetcher capacity: the CPS_BLOCK_CACHE_SLOTS environment
- * variable when set to a positive integer, otherwise 64. Read afresh on
- * every call so tests can flip it between constructions.
- */
-unsigned defaultBlockCacheSlots();
-
-/** Scored prefetching LRU memo of decoded blocks. */
+/** LRU memo of decoded blocks, filled on demand. */
 class BlockFetcher
 {
   public:
-    struct Options
-    {
-        /** LRU cache capacity in blocks (min 1). */
-        unsigned slots = 64;
-        /** Speculatively decode predicted blocks at all. */
-        bool prefetch = true;
-        /**
-         * Prediction window in blocks ahead of the last access.
-         * Clamped to slots/2 so speculative inserts can never evict
-         * predicted-but-unclaimed blocks (which would turn the whole
-         * window into wasted decode).
-         */
-        unsigned depth = 32;
-
-        /** Reads CPS_BLOCK_CACHE_SLOTS / CPS_BLOCK_PREFETCH afresh. */
-        static Options fromEnv();
-    };
-
-    /** Blocks decoded per speculative span (one batched decode). */
-    static constexpr unsigned kSpanBlocks = 16;
+    /** Capacity in blocks of every fetcher on a simulation path. */
+    static constexpr unsigned kDefaultSlots = 64;
 
     /**
      * @param decomp decompressor to memoize (must outlive the fetcher)
-     * @param opts knobs; defaults come from the environment
      * @param stats optional registry for "hostpf." counters
      * @param domain optional soft-error domain; when given, it must
      *        wrap the image @p decomp decodes, every fetch is verified
@@ -83,11 +49,12 @@ class BlockFetcher
      *        was repaired are poison-invalidated and re-decoded, all
      *        decodes run checked (a corruption that slips past a weak
      *        CRC surfaces as a structured error, never a panic)
+     * @param slots LRU capacity in blocks (min 1)
      */
     explicit BlockFetcher(const Decompressor &decomp,
-                          Options opts = Options::fromEnv(),
                           StatSet *stats = nullptr,
-                          SoftErrorDomain *domain = nullptr);
+                          SoftErrorDomain *domain = nullptr,
+                          unsigned slots = kDefaultSlots);
 
     BlockFetcher(const BlockFetcher &) = delete;
     BlockFetcher &operator=(const BlockFetcher &) = delete;
@@ -117,22 +84,19 @@ class BlockFetcher
      */
     FetchCheck lastCheck() const { return lastCheck_; }
 
+    /** Successful accesses served from the cache. */
     u64 hits() const { return hits_; }
+    /** Successful accesses that decoded the block. */
     u64 fills() const { return fills_; }
-    u64 prefetchIssued() const { return pfIssued_; }
-    /** First-touch claims of speculatively decoded blocks. */
-    u64 prefetchHits() const { return pfHits_; }
     /** Cached copies discarded after their memory was found corrupt. */
     u64 poisons() const { return poisons_; }
-    unsigned slots() const { return opts_.slots; }
-    const Options &options() const { return opts_; }
+    unsigned slots() const { return static_cast<unsigned>(slab_.size()); }
     SoftErrorDomain *domain() const { return domain_; }
 
   private:
     struct Entry
     {
         u32 flat = kInvalid;
-        bool prefetched = false; ///< speculative, not yet claimed
         DecodedBlock blk;
         u32 prev = kInvalid, next = kInvalid; ///< intrusive LRU chain
     };
@@ -140,20 +104,17 @@ class BlockFetcher
 
     void unlink(u32 i);
     void pushFront(u32 i);
-    /** A slot for @p flat: its resident slot, a fresh one, or the LRU
-     *  victim; unlinked from the chain, map updated. */
-    u32 claimSlot(u32 flat);
+    /** The cached copy of @p flat made MRU and counted as a hit, or
+     *  null when it is not resident. */
+    const DecodedBlock *lookup(u32 flat);
+    /** Caches @p blk as @p flat in a fresh slot or the LRU victim's,
+     *  counted as a fill. */
+    const DecodedBlock &fill(u32 flat, const DecodedBlock &blk);
     /** Discards @p flat's cached copy (its memory was corrupt) and
      *  parks the slot at the LRU tail as the next eviction victim. */
     void poisonSlot(u32 flat);
-    void train(u32 flat);
-    void issuePrefetches(u32 flat);
-    /** Speculatively decodes @p count predicted blocks and parks them
-     *  as unclaimed prefetches. */
-    void issueSpan(const u32 *flats, unsigned count, bool contiguous);
 
     const Decompressor &decomp_;
-    Options opts_;
 
     std::vector<Entry> slab_;  ///< fixed; intrusive links, no realloc
     u32 head_ = kInvalid;      ///< most recently used
@@ -161,30 +122,14 @@ class BlockFetcher
     u32 live_ = 0;             ///< slab entries handed out so far
     std::vector<u32> map_;     ///< flat -> slab index (dense)
 
-    // Access scorer.
-    bool haveLast_ = false;
-    u32 lastFlat_ = 0;
-    s64 stride_ = 0;
-    unsigned conf_ = 0;
-    /** One past the highest flat covered by the current unit-stride
-     *  prefetch run; avoids rescanning the cache every access. */
-    u32 frontier_ = 0;
-
-    /** Speculative decode target: reused, so no per-span allocation. */
-    std::array<DecodedBlock, kSpanBlocks> scratch_;
-
     SoftErrorDomain *domain_ = nullptr;
     FetchCheck lastCheck_ = FetchCheck::Clean;
 
     u64 hits_ = 0;
     u64 fills_ = 0;
-    u64 pfIssued_ = 0;
-    u64 pfHits_ = 0;
     u64 poisons_ = 0;
     Counter *statHits_ = nullptr;
     Counter *statFills_ = nullptr;
-    Counter *statPfIssued_ = nullptr;
-    Counter *statPfHits_ = nullptr;
     Counter *statPoisons_ = nullptr;
 };
 

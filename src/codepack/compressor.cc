@@ -5,7 +5,6 @@
 
 #include "common/bitstream.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
 #include "common/threadpool.hh"
 #include "isa/isa.hh"
 
@@ -32,8 +31,7 @@ struct BlockBits
 
 BlockBits
 compressBlock(const u32 *insns, const Dictionary &high,
-              const Dictionary &low, bool allow_raw_blocks,
-              bool use_simd)
+              const Dictionary &low, bool allow_raw_blocks)
 {
     BlockBits out;
     BitWriter bw;
@@ -41,20 +39,13 @@ compressBlock(const u32 *insns, const Dictionary &high,
     // upfront reservation keeps the put() loop allocation-free.
     bw.reserve(kRawBlockBytes + 8);
 
-    // The match loop: deinterleave the block's halfwords into dense
-    // lanes, then resolve each encoding once — by vectorized
-    // dictionary match (membership bitmap + CAM-style scan) on the
-    // simd path, by the reference hash lookup on the scalar path —
-    // and reuse it for both the emit and the Table 4 accounting.
-    u16 his[kBlockInsns], los[kBlockInsns];
-    if (use_simd)
-        simd::splitHalves(insns, kBlockInsns, his, los);
-    else
-        simd::scalar::splitHalves(insns, kBlockInsns, his, los);
+    // Resolve each halfword's encoding once and reuse it for both the
+    // emit and the Table 4 accounting.
     for (unsigned i = 0; i < kBlockInsns; ++i) {
-        HalfEncoding he = use_simd ? high.matchEncode(his[i])
-                                   : high.encode(his[i]);
-        Dictionary::writeEncoded(bw, he, his[i]);
+        u16 hi = static_cast<u16>(insns[i] >> 16);
+        u16 lo = static_cast<u16>(insns[i] & 0xffff);
+        HalfEncoding he = high.encode(hi);
+        Dictionary::writeEncoded(bw, he, hi);
         if (he.raw) {
             out.rawTagBits += he.tagBits;
             out.rawBits += kRawLiteralBits;
@@ -63,9 +54,8 @@ compressBlock(const u32 *insns, const Dictionary &high,
             out.dictIndexBits += he.indexBits;
         }
 
-        HalfEncoding le = use_simd ? low.matchEncode(los[i])
-                                   : low.encode(los[i]);
-        Dictionary::writeEncoded(bw, le, los[i]);
+        HalfEncoding le = low.encode(lo);
+        Dictionary::writeEncoded(bw, le, lo);
         if (le.raw) {
             out.rawTagBits += le.tagBits;
             out.rawBits += kRawLiteralBits;
@@ -103,16 +93,15 @@ compressBlock(const u32 *insns, const Dictionary &high,
  */
 void
 histogramHalves(const std::vector<u32> &words, ThreadPool *pool,
-                bool use_simd, std::vector<u64> &hi, std::vector<u64> &lo)
+                std::vector<u64> &hi, std::vector<u64> &lo)
 {
     hi.assign(65536, 0);
     lo.assign(65536, 0);
-    auto accumulate = [use_simd](const u32 *w, size_t n, u64 *h,
-                                 u64 *l) {
-        if (use_simd)
-            simd::histogramHalves(w, n, h, l);
-        else
-            simd::scalar::histogramHalves(w, n, h, l);
+    auto accumulate = [](const u32 *w, size_t n, u64 *h, u64 *l) {
+        for (size_t i = 0; i < n; ++i) {
+            ++h[w[i] >> 16];
+            ++l[w[i] & 0xffff];
+        }
     };
     size_t chunks = pool ? std::min<size_t>(pool->size(), 16) : 1;
     if (chunks > 1 && words.size() >= 4096) {
@@ -165,7 +154,7 @@ compressWords(const std::vector<u32> &words, Addr text_base,
     // Phase 1: halfword frequencies over the (padded) text, reduced
     // from per-chunk counters when a pool is available.
     std::vector<u64> hi_arr, lo_arr;
-    histogramHalves(padded, pool.get(), cfg.simd, hi_arr, lo_arr);
+    histogramHalves(padded, pool.get(), hi_arr, lo_arr);
     std::unordered_map<u16, u64> hi_counts, lo_counts;
     for (u32 v = 0; v < 65536; ++v) {
         if (hi_arr[v])
@@ -185,7 +174,7 @@ compressWords(const std::vector<u32> &words, Addr text_base,
     auto encodeOne = [&](size_t b) {
         encoded[b] = compressBlock(padded.data() + b * kBlockInsns,
                                    img.highDict, img.lowDict,
-                                   cfg.allowRawBlocks, cfg.simd);
+                                   cfg.allowRawBlocks);
     };
     if (pool)
         pool->parallelFor(num_blocks, encodeOne);

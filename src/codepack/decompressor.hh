@@ -3,6 +3,11 @@
  * Functional CodePack decompression (the bit-exact inverse of the
  * compressor) plus the per-instruction bit positions the timing model
  * needs to know which memory beat completes which instruction.
+ *
+ * Two decoders, one per job: the checked bit-serial reference
+ * (tryDecompressBlock) for images from outside the process, and one
+ * trusted LUT kernel (decompressBlock) for the simulator's own images.
+ * They decode bit-identically (enforced by test_decode_lut).
  */
 
 #ifndef CPS_CODEPACK_DECOMPRESSOR_HH
@@ -35,53 +40,12 @@ struct DecodedBlock
     bool raw = false;
 };
 
-/**
- * Which kernel the trusted decompressBlock path runs. The ladder, from
- * reference to fastest (see DESIGN.md, "Decode kernels"):
- *
- *   - Checked: the bit-serial tryDecompressBlock reference, promoted to
- *     trusted semantics (panic on malformation);
- *   - Lut: one LUT probe per codeword, two probes per instruction off
- *     a fused 22-bit peek (the PR 2 kernel);
- *   - Lut2: a register-resident bit buffer feeds the fused PairLut,
- *     which resolves both codewords of an instruction in one probe
- *     whenever they pack into its PairLut::kBits window, one-and-a-bit
- *     probes otherwise; raw halfword escapes decode inline from the
- *     buffer without dropping to the checked path.
- *
- * Every rung decodes bit-identically (enforced by test_decode_lut);
- * the knob exists so benches can ablate kernels.
- */
-enum class DecodeKernel { Checked, Lut, Lut2 };
-
-/**
- * The process-wide default kernel: CPS_DECODE_KERNEL=checked|lut|lut2,
- * read once; unset or malformed values mean Lut2 (malformed warns).
- */
-DecodeKernel defaultDecodeKernel();
-
-/** The knob spelling of @p kernel ("checked"/"lut"/"lut2"). */
-const char *decodeKernelName(DecodeKernel kernel);
-
 /** Stateless functional decompressor over a CompressedImage. */
 class Decompressor
 {
   public:
-    /**
-     * @param img the image to decode (must outlive the decompressor)
-     * @param kernel trusted-path kernel; defaults to the
-     *        CPS_DECODE_KERNEL choice. The PairLut is only built for
-     *        Lut2, so ablation decompressors cost nothing extra.
-     */
-    explicit Decompressor(const CompressedImage &img,
-                          DecodeKernel kernel = defaultDecodeKernel())
-        : img_(img), kernel_(kernel)
-    {
-        if (kernel_ == DecodeKernel::Lut2)
-            pair_ = PairLut(img.highDict, img.lowDict);
-    }
-
-    DecodeKernel kernel() const { return kernel_; }
+    /** @param img the image to decode (must outlive the decompressor) */
+    explicit Decompressor(const CompressedImage &img) : img_(img) {}
 
     /**
      * Decompresses block @p block (0/1) of compression group @p group.
@@ -94,7 +58,8 @@ class Decompressor
      *
      * Decoding runs through the dictionaries' single-pass LUT kernel;
      * any anomaly falls back to the checked bit-serial path so the
-     * panic diagnostics are identical to tryDecompressBlock's errors.
+     * panic diagnostics are identical to tryDecompressBlock's errors
+     * (DESIGN.md, "Decode kernel").
      */
     DecodedBlock decompressBlock(u32 group, u32 block) const;
 
@@ -114,33 +79,6 @@ class Decompressor
                                flat_block % kBlocksPerGroup);
     }
 
-    /**
-     * Trusted batched decode of @p count consecutive blocks starting
-     * at flat block @p first, into @p outs.
-     *
-     * Blocks are independently indexed bitstreams, so the Lut2 kernel
-     * decodes up to four of them interleaved in one loop: the
-     * per-block bit-buffer/LUT-probe dependency chains overlap instead
-     * of serializing, which is where the batched kernel's headline
-     * per-block latency comes from (bench_ext_simperf's decode
-     * section). Results are bit-identical to per-block decode; any
-     * anomaly, raw block, or non-Lut2 kernel falls back to
-     * decompressBlock per block (same trusted semantics: malformation
-     * panics with the checked path's diagnostics).
-     */
-    void decompressBlocks(u32 first, u32 count, DecodedBlock *outs) const;
-
-    /**
-     * Trusted batched decode of both blocks of @p group — the burst
-     * shape of the hardware decompressor, which fills a group's two
-     * cache lines from one index-table lookup.
-     */
-    void
-    decompressGroup(u32 group, DecodedBlock outs[kBlocksPerGroup]) const
-    {
-        decompressBlocks(group * kBlocksPerGroup, kBlocksPerGroup, outs);
-    }
-
     /** Decompresses the whole image back to instruction words. */
     std::vector<u32> decompressAll() const;
 
@@ -155,43 +93,14 @@ class Decompressor
 
   private:
     /**
-     * Single-symbol LUT fast path (DecodeKernel::Lut). Returns false
-     * (leaving @p out unspecified) when the stream needs the checked
-     * decoder — the caller re-decodes via tryDecompressBlock for the
-     * diagnostic.
+     * The trusted fast kernel: one LUT probe per codeword off a fused
+     * 22-bit peek per instruction. Returns false (leaving @p out
+     * unspecified) when the stream needs the checked decoder — the
+     * caller re-decodes via tryDecompressBlock for the diagnostic.
      */
     bool fastDecompressBlock(u32 group, u32 block, DecodedBlock &out) const;
 
-    /**
-     * Batched pair-LUT fast path (DecodeKernel::Lut2): one PairLut
-     * probe per instruction in the common case, with the same
-     * decline-to-checked contract as fastDecompressBlock.
-     */
-    bool fastDecompressBlock2(u32 group, u32 block,
-                              DecodedBlock &out) const;
-
-    /**
-     * Shared fast-path prologue: resolves the block's framing from the
-     * index table into @p out and, for raw blocks, copies the native
-     * words. Returns false when the framing itself is malformed (the
-     * checked path owns the diagnostic). Sets @p done when @p out is
-     * already complete (raw block).
-     */
-    bool frameFastBlock(u32 group, u32 block, DecodedBlock &out,
-                        bool &done) const;
-
-    /**
-     * Interleaved decode of @p width (2 or 4) consecutive non-raw
-     * blocks starting at flat block @p first. Returns false — and the
-     * caller re-decodes per block — when any block is raw or any
-     * stream declines to the checked path.
-     */
-    bool fastDecodeBatch(u32 first, unsigned width,
-                         DecodedBlock *outs) const;
-
     const CompressedImage &img_;
-    DecodeKernel kernel_;
-    PairLut pair_; ///< built only for DecodeKernel::Lut2
 };
 
 /**

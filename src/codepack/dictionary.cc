@@ -169,28 +169,6 @@ Dictionary::read(BitReader &br) const
 void
 Dictionary::buildLut()
 {
-    // Match-path mirrors first: flat bank-ordered values, their
-    // encodings, and the membership bitmap the compressor probes
-    // before scanning.
-    flat_.clear();
-    flatEnc_.clear();
-    member_.assign(65536 / 64, 0);
-    for (unsigned b = 0; b < numBanks_; ++b) {
-        const Bank &bank = banks_[b];
-        for (u32 i = 0; i < entries_[b].size(); ++i) {
-            u16 value = entries_[b][i];
-            flat_.push_back(value);
-            HalfEncoding enc;
-            enc.bank = b;
-            enc.index = i;
-            enc.tagBits = bank.tagBits;
-            enc.tag = bank.tag;
-            enc.indexBits = bank.indexBits;
-            flatEnc_.push_back(enc);
-            member_[value >> 6] |= u64{1} << (value & 63);
-        }
-    }
-
     lut_.assign(1u << kLutBits, lutEntry(0, 0, kLutInvalid));
     // Every pattern whose top bits match `code` (length `len`) resolves
     // to `entry`: fill all 2^(kLutBits-len) suffix slots.
@@ -280,45 +258,6 @@ Dictionary::bankEntries(unsigned bank) const
 {
     cps_assert(bank < numBanks_, "dictionary bank out of range");
     return entries_[bank];
-}
-
-PairLut::PairLut(const Dictionary &high, const Dictionary &low)
-{
-    constexpr unsigned kLut = Dictionary::kLutBits;
-    constexpr u32 kMask = (1u << kBits) - 1;
-    lut_.assign(size_t{1} << kBits, 0);
-    const u32 *hlut = high.lutData();
-    const u32 *llut = low.lutData();
-    for (u32 p = 0; p <= kMask; ++p) {
-        // The high probe sees the window's top kLutBits bits; every
-        // high codeword fits there (max length == kLutBits).
-        u32 eh = hlut[p >> (kBits - kLut)];
-        if (!Dictionary::lutIsValue(eh))
-            continue; // raw escape / unpopulated index: escape slot
-        unsigned lh = Dictionary::lutLen(eh);
-        u16 hi = Dictionary::lutValue(eh);
-        lut_[p] = entry(hi, 0, lh, 1);
-        unsigned visible = kBits - lh;
-        // The window bits behind the high codeword, zero-padded up to a
-        // full low-LUT index. A low codeword no longer than `visible`
-        // is unambiguous from those bits alone (prefix-free code), so
-        // the padded probe resolves it exactly; longer resolutions are
-        // artifacts of the padding and stay single-symbol.
-        u32 el = llut[((p << lh) & kMask) >> (kBits - kLut)];
-        if (Dictionary::lutIsValue(el) &&
-            Dictionary::lutLen(el) <= visible)
-            lut_[p] = entry(hi, Dictionary::lutValue(el),
-                            lh + Dictionary::lutLen(el), 2);
-    }
-}
-
-unsigned
-PairLut::pairSlots() const
-{
-    unsigned n = 0;
-    for (u64 e : lut_)
-        n += symbols(e) == 2;
-    return n;
 }
 
 } // namespace codepack

@@ -8,6 +8,11 @@
  * Dictionaries are fixed at program load time and shipped with the
  * compressed image (their bits are charged to the compressed size, as in
  * the paper's Table 4).
+ *
+ * One path per job: encode() resolves a halfword by hash lookup for
+ * the compressor, tryRead() decodes bit-serially for the checked
+ * reference decoder, and the decode LUT (readFast(), lutData()) feeds
+ * the trusted kernel.
  */
 
 #ifndef CPS_CODEPACK_DICTIONARY_HH
@@ -18,7 +23,6 @@
 
 #include "common/bitstream.hh"
 #include "common/result.hh"
-#include "common/simd.hh"
 #include "common/types.hh"
 #include "format.hh"
 
@@ -98,8 +102,8 @@ class Dictionary
 
     /**
      * Appends the codeword for @p half when its encoding @p enc is
-     * already in hand (the compressor's match loop resolves the
-     * encoding once for both the accounting and the emit).
+     * already in hand (the compressor resolves the encoding once for
+     * both the accounting and the emit).
      */
     static void
     writeEncoded(BitWriter &bw, const HalfEncoding &enc, u16 half)
@@ -112,46 +116,6 @@ class Dictionary
             return;
         }
         bw.put(enc.index, enc.indexBits);
-    }
-
-    /**
-     * encode() by dictionary match instead of hash lookup: a 64-Kbit
-     * membership bitmap rejects raw halves in one probe, and members
-     * resolve by scanning the flat bank-ordered entry array — the
-     * software analogue of the hardware CAM, vectorized through the
-     * simd wrapper (@p vectorized false pins the scalar scan for
-     * ablation; the result is identical either way, and identical to
-     * encode()). Frequency ranking puts the dynamically common values
-     * in the first cachelines of the scan, so the expected match is a
-     * couple of vector compares.
-     */
-    HalfEncoding
-    matchEncode(u16 half, bool vectorized = true) const
-    {
-        if (kind_ == Kind::Low && half == 0) {
-            HalfEncoding enc;
-            enc.zeroSpecial = true;
-            enc.tagBits = kLowZeroBits;
-            enc.tag = kTag0;
-            return enc;
-        }
-        if (!((member_[half >> 6] >> (half & 63)) & 1)) {
-            HalfEncoding enc;
-            enc.raw = true;
-            enc.tagBits = 3;
-            enc.tag = kTagRaw;
-            enc.indexBits = kRawLiteralBits;
-            return enc;
-        }
-        size_t idx =
-            vectorized
-                ? simd::findU16(flat_.data(), flat_.size(), half)
-                : simd::scalar::findU16(flat_.data(), flat_.size(),
-                                        half);
-        cps_assert(idx < flat_.size(),
-                   "membership bitmap admitted value 0x%04x the flat "
-                   "entry array does not hold", half);
-        return flatEnc_[idx];
     }
 
     /** Decodes one halfword from @p br (tag first, then index/raw). */
@@ -208,16 +172,6 @@ class Dictionary
     static constexpr unsigned kLutBits = 11;
 
     /**
-     * Raw decode-LUT probe for fused decoders that peek the bits for
-     * several codewords at once (see Decompressor's block kernel):
-     * @p bits are the next kLutBits of stream. Decode the returned
-     * entry with lutIsValue()/lutLen()/lutValue(); anything that is not
-     * a plain in-bank value (raw escape, unpopulated index) must be
-     * re-decoded through readFast()/tryRead().
-     */
-    u32 lutProbe(u32 bits) const { return lut_[bits]; }
-
-    /**
      * The LUT itself (1 << kLutBits entries), for decode loops that
      * want the table pointer hoisted out of the per-symbol path.
      */
@@ -228,13 +182,6 @@ class Dictionary
     lutIsValue(u32 e)
     {
         return ((e >> 24) & 0x7) == kLutValue;
-    }
-
-    /** Whether LUT entry @p e is the raw escape (tag 111 + literal). */
-    static constexpr bool
-    lutIsRaw(u32 e)
-    {
-        return ((e >> 24) & 0x7) == kLutRaw;
     }
 
     /** Consumed codeword length of LUT entry @p e, in bits. */
@@ -268,102 +215,6 @@ class Dictionary
     std::vector<std::vector<u16>> entries_;       // per bank
     std::unordered_map<u16, HalfEncoding> lookup_; // value -> encoding
     std::vector<u32> lut_;                        // 1 << kLutBits entries
-    // Match-path mirrors of entries_, rebuilt with the LUT: the flat
-    // bank-ordered value array the vector scan walks, its per-index
-    // encodings, and a 64-Kbit membership bitmap (one u64 per 64
-    // values) that rejects raw halves without scanning.
-    std::vector<u16> flat_;
-    std::vector<HalfEncoding> flatEnc_;
-    std::vector<u64> member_;
-};
-
-/**
- * Fused high+low decode LUT: the double-symbol rung of the decode
- * kernel ladder (see DESIGN.md, "Decode kernels"). One 4096-entry
- * table keyed on the next kBits bits of stream at an instruction
- * boundary; a slot resolves
- *
- *   - both codewords of the instruction (symbols() == 2) when the high
- *     codeword and the following low codeword together fit inside the
- *     kBits index window — prefix-freedom makes the low codeword
- *     unambiguous from the window's remaining bits alone;
- *   - the high codeword only (symbols() == 1) when it fits but the low
- *     codeword spills past the window; the caller finishes with one
- *     probe of the low dictionary's own LUT;
- *   - nothing (symbols() == 0, an escape marker) when the window opens
- *     with a raw escape or an unpopulated index pattern — those
- *     re-decode through readFast()/tryRead() exactly as before.
- *
- * Entry layout: high half in [15:0], low half in [31:16], consumed bit
- * count in [39:32] (both codewords for a pair, the high codeword alone
- * otherwise), symbol count in [41:40]. Escape slots are the all-zero
- * word, so a plain truth test skips them.
- */
-class PairLut
-{
-  public:
-    /**
-     * Window width in bits, and the log2 table size. One bit wider
-     * than the per-dictionary LUT: the most common instruction shape
-     * is a bank-0 high codeword (6 bits) followed by a bank-0 low
-     * codeword (6 bits), which at 12 bits just misses an 11-bit
-     * window. The extra bit lifts double-pack coverage from only
-     * {6,8,9}-bit highs before the 2-bit low zero code to every
-     * bank-0×bank-0 pair, for a 32 KiB table that still sits in L1.
-     */
-    static constexpr unsigned kBits = 12;
-
-    /** Creates an empty (never-matching) table. */
-    PairLut() = default;
-
-    /** Builds the fused table for @p high followed by @p low. */
-    PairLut(const Dictionary &high, const Dictionary &low);
-
-    bool empty() const { return lut_.empty(); }
-
-    /** Raw probe with the next kBits bits of stream. */
-    u64 probe(u32 bits) const { return lut_[bits]; }
-
-    /** The table pointer, hoisted out of per-instruction decode loops. */
-    const u64 *data() const { return lut_.data(); }
-
-    /** Symbols entry @p e resolves: 0 (escape), 1 (high), 2 (both). */
-    static constexpr unsigned
-    symbols(u64 e)
-    {
-        return static_cast<unsigned>(e >> 40) & 0x3;
-    }
-
-    /** Consumed bits: the pair for 2-symbol slots, else the high code. */
-    static constexpr unsigned
-    lenBits(u64 e)
-    {
-        return static_cast<unsigned>(e >> 32) & 0xff;
-    }
-
-    static constexpr u16 highHalf(u64 e) { return static_cast<u16>(e); }
-    static constexpr u16 lowHalf(u64 e) { return static_cast<u16>(e >> 16); }
-
-    /** The full instruction word of a 2-symbol entry. */
-    static constexpr u32
-    word(u64 e)
-    {
-        return (static_cast<u32>(highHalf(e)) << 16) | lowHalf(e);
-    }
-
-    /** Number of slots that resolve a whole instruction (for tests). */
-    unsigned pairSlots() const;
-
-  private:
-    static constexpr u64
-    entry(u16 hi, u16 lo, unsigned len, unsigned syms)
-    {
-        return static_cast<u64>(hi) | (static_cast<u64>(lo) << 16) |
-               (static_cast<u64>(len) << 32) |
-               (static_cast<u64>(syms) << 40);
-    }
-
-    std::vector<u64> lut_; // 1 << kBits entries, or empty
 };
 
 } // namespace codepack

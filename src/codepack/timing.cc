@@ -13,8 +13,7 @@ DecompressorModel::DecompressorModel(const CompressedImage &img,
                                      const DecompressorConfig &cfg,
                                      StatSet &stats)
     : img_(img), decomp_(img),
-      fetcher_(decomp_, BlockFetcher::Options::fromEnv(), &stats,
-               cfg.softErrorDomain),
+      fetcher_(decomp_, &stats, cfg.softErrorDomain),
       mem_(mem), cfg_(cfg),
       idxCache_(cfg.indexCacheLines, cfg.indexesPerLine,
                 cfg.indexReplacement, cfg.indexCacheSets),

@@ -182,11 +182,11 @@ class DecompressorModel
     const CompressedImage &img_;
     Decompressor decomp_;
     // Host-side memo: simulated hardware re-decodes a block on every
-    // miss, but the functional result never changes, so the host reuses
-    // it — and speculatively decodes ahead of the access pattern
-    // (BlockFetcher). reset() deliberately leaves the memo alone — it
-    // holds pure functions of the (immutable) image, not simulated
-    // state.
+    // miss, but the functional result never changes, so the host
+    // decodes each block on demand and reuses it while it stays in
+    // the 64-block LRU (BlockFetcher). reset() deliberately leaves the
+    // memo alone — it holds pure functions of the (immutable) image,
+    // not simulated state.
     BlockFetcher fetcher_;
     MainMemory &mem_;
     DecompressorConfig cfg_;

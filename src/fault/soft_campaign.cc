@@ -84,8 +84,7 @@ runSoftCampaign(const CompressedImage &img, const SoftCampaignConfig &cfg)
 
             // A fresh fetcher per trial: an unprotected run must not be
             // saved by a stale pristine copy cached from a prior trial.
-            BlockFetcher fetcher(decomp, BlockFetcher::Options{}, nullptr,
-                                 &domain);
+            BlockFetcher fetcher(decomp, nullptr, &domain);
             FetchCheck check = FetchCheck::Clean;
             bool refused = false;
             bool wrong = false;

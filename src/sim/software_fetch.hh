@@ -66,8 +66,7 @@ class SoftwareCodePackFetchPath : public CachedFetchPath
                               const SoftwareDecompressConfig &cfg,
                               StatSet &stats)
         : CachedFetchPath(icache_cfg, stats), img_(img), decomp_(img),
-          fetcher_(decomp_, codepack::BlockFetcher::Options::fromEnv(),
-                   &stats),
+          fetcher_(decomp_, &stats),
           mem_(mem), cfg_(cfg),
           statTraps_(stats.scalar("swdecomp.traps")),
           statBufferHits_(stats.scalar("swdecomp.buffer_hits")),

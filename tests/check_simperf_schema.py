@@ -9,7 +9,7 @@ trajectory record without any package installs.
 import json
 import sys
 
-EXPECTED_SCHEMA = 9
+EXPECTED_SCHEMA = 10
 
 # section -> keys that must be present (values are checked to be of the
 # right shape, not of any particular magnitude: wall-clock numbers are
@@ -19,32 +19,15 @@ REQUIRED = {
     "compress": [
         "serial_seconds",
         "parallel_seconds",
-        "scalar_seconds",
         "workers",
         "speedup",
-        "simd_backend",
-        "simd_speedup",
     ],
     "decode": [
-        "kernel_default",
         "checked_blocks_per_sec",
-        "lut_blocks_per_sec",
-        "lut2_blocks_per_sec",
-        "batched_blocks_per_sec",
+        "trusted_blocks_per_sec",
         "checked_ns_per_block",
-        "lut_ns_per_block",
-        "lut2_ns_per_block",
-        "batched_ns_per_block",
-        "batched_speedup",
-    ],
-    "hostpf": [
-        "slots",
-        "lru_blocks_per_sec",
-        "fetcher_blocks_per_sec",
-        "warm_refill_speedup",
-        "prefetch_issued",
-        "prefetch_hits",
-        "prefetch_hit_rate",
+        "trusted_ns_per_block",
+        "speedup",
     ],
     "simulation": [
         "native_insns_per_sec",
@@ -97,37 +80,10 @@ def main():
                 fail("missing key %r in section %r" % (key, section))
 
     dec = doc["decode"]
-    if dec["kernel_default"] not in ("checked", "lut", "lut2"):
-        fail("decode.kernel_default %r is not a known kernel"
-             % dec["kernel_default"])
-    if doc["compress"]["simd_backend"] not in ("sse2", "neon", "scalar"):
-        fail("compress.simd_backend %r is not a known backend"
-             % doc["compress"]["simd_backend"])
-    for key in (
-        "checked_blocks_per_sec",
-        "lut_blocks_per_sec",
-        "lut2_blocks_per_sec",
-        "batched_blocks_per_sec",
-    ):
+    for key in ("checked_blocks_per_sec", "trusted_blocks_per_sec"):
         if not (isinstance(dec[key], (int, float)) and dec[key] > 0):
             fail("decode.%s should be a positive number, got %r"
                  % (key, dec[key]))
-
-    pf = doc["hostpf"]
-    for key in (
-        "slots",
-        "lru_blocks_per_sec",
-        "fetcher_blocks_per_sec",
-        "warm_refill_speedup",
-    ):
-        if not (isinstance(pf[key], (int, float)) and pf[key] > 0):
-            fail("hostpf.%s should be a positive number, got %r"
-                 % (key, pf[key]))
-    if pf["prefetch_hits"] > pf["prefetch_issued"]:
-        fail("hostpf claims more prefetch hits than issued")
-    if not 0.0 <= pf["prefetch_hit_rate"] <= 1.0:
-        fail("hostpf.prefetch_hit_rate %r outside [0, 1]"
-             % pf["prefetch_hit_rate"])
 
     # The "softerr" section is merged by bench_ext_soft_errors, which
     # runs separately from the smoke bench; validate it when present.

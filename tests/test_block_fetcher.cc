@@ -1,16 +1,16 @@
 /**
  * @file
- * BlockFetcher tests: byte-identity of every cached/speculated block
- * against the checked bit-serial reference across all suite profiles,
- * LRU aliasing/eviction edge cases, counter conservation, the
- * environment knobs, and the soft-error domain paths. Concurrent
- * fetchers over one shared Decompressor double as the TSan workload for
- * the decoder's shared read-only state.
+ * BlockFetcher tests: byte-identity of every cached block against the
+ * checked bit-serial reference across all suite profiles, LRU
+ * aliasing/eviction edge cases, counter conservation, and the
+ * soft-error domain paths. Concurrent fetchers over one shared
+ * Decompressor double as the TSan workload for the decoder's shared
+ * read-only state.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,36 +26,6 @@ namespace codepack
 {
 namespace
 {
-
-/** Scoped setenv/unsetenv so knob tests cannot leak into each other. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            hadOld_ = true;
-            old_ = old;
-        }
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (hadOld_)
-            setenv(name_, old_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool hadOld_ = false;
-    std::string old_;
-};
 
 void
 expectBlockEq(const DecodedBlock &got, const DecodedBlock &want,
@@ -75,7 +45,7 @@ expectBlockEq(const DecodedBlock &got, const DecodedBlock &want,
 void
 checkByteIdentity(const CompressedImage &img, BlockFetcher &fetcher)
 {
-    Decompressor ref(img, DecodeKernel::Checked);
+    Decompressor ref(img);
     u32 n = img.numBlocks();
     for (u32 f = 0; f < n; ++f) {
         Result<DecodedBlock> want =
@@ -84,8 +54,8 @@ checkByteIdentity(const CompressedImage &img, BlockFetcher &fetcher)
         ASSERT_TRUE(want.ok());
         expectBlockEq(fetcher.getFlat(f), *want, f);
     }
-    // A non-unit revisit exercises the strided prediction path and
-    // claims of still-resident entries.
+    // A non-unit revisit mixes evicted blocks with still-resident
+    // ones.
     for (u32 f = 0; f + 3 < n; f += 3) {
         Result<DecodedBlock> want =
             ref.tryDecompressBlock(f / kBlocksPerGroup,
@@ -101,10 +71,9 @@ TEST(BlockFetcher, ByteIdenticalToReferenceOnAllProfiles)
         SCOPED_TRACE(name);
         const BenchProgram &bench = Suite::instance().get(name);
         Decompressor d(bench.image);
-        BlockFetcher::Options opts; // default: inline speculation
-        BlockFetcher fetcher(d, opts);
+        BlockFetcher fetcher(d);
         checkByteIdentity(bench.image, fetcher);
-        EXPECT_GT(fetcher.prefetchHits(), 0u);
+        EXPECT_GE(fetcher.fills(), bench.image.numBlocks());
     }
 }
 
@@ -127,10 +96,7 @@ TEST(BlockFetcher, TinyCacheEvictsLeastRecentlyUsed)
 {
     const BenchProgram &bench = Suite::instance().get("pegwit");
     Decompressor d(bench.image);
-    BlockFetcher::Options opts;
-    opts.slots = 2;
-    opts.prefetch = false;
-    BlockFetcher f(d, opts);
+    BlockFetcher f(d, nullptr, nullptr, /*slots=*/2);
     ASSERT_GE(bench.image.numBlocks(), 3u);
 
     f.getFlat(0); // fill {0}
@@ -142,27 +108,22 @@ TEST(BlockFetcher, TinyCacheEvictsLeastRecentlyUsed)
     f.getFlat(2); // fill again
     EXPECT_EQ(f.fills(), 5u);
     EXPECT_EQ(f.hits(), 2u);
-    EXPECT_EQ(f.prefetchIssued(), 0u);
 }
 
 TEST(BlockFetcher, SingleSlotCacheStaysCorrect)
 {
     const BenchProgram &bench = Suite::instance().get("pegwit");
     Decompressor d(bench.image);
-    Decompressor ref(bench.image, DecodeKernel::Checked);
-    BlockFetcher::Options opts;
-    opts.slots = 1;
-    BlockFetcher f(d, opts); // prefetch on, but depth clamps to 0
+    BlockFetcher f(d, nullptr, nullptr, /*slots=*/1);
     u32 n = std::min<u32>(bench.image.numBlocks(), 64);
     for (int pass = 0; pass < 2; ++pass) {
         for (u32 b = 0; b < n; ++b) {
-            Result<DecodedBlock> want = ref.tryDecompressBlock(
+            Result<DecodedBlock> want = d.tryDecompressBlock(
                 b / kBlocksPerGroup, b % kBlocksPerGroup);
             ASSERT_TRUE(want.ok());
             expectBlockEq(f.getFlat(b), *want, b);
         }
     }
-    EXPECT_EQ(f.prefetchIssued(), 0u);
     EXPECT_EQ(f.fills(), static_cast<u64>(2 * n));
 }
 
@@ -171,75 +132,39 @@ TEST(BlockFetcher, CountersConserveAccesses)
     const BenchProgram &bench = Suite::instance().get("go");
     Decompressor d(bench.image);
     u32 n = bench.image.numBlocks();
-    BlockFetcher f(d, BlockFetcher::Options{});
+    BlockFetcher f(d);
     u64 accesses = 0;
-    // Sequential, strided, and pseudo-random phases.
+    // Sequential, strided, pseudo-random and hot-loop phases.
     for (u32 b = 0; b < n; ++b, ++accesses)
         f.getFlat(b);
     for (u32 b = 0; b + 7 < n; b += 7, ++accesses)
         f.getFlat(b);
     for (u32 i = 0; i < 1000; ++i, ++accesses)
         f.getFlat((i * 2654435761u) % n);
-    EXPECT_EQ(f.hits() + f.fills() + f.prefetchHits(), accesses);
-    EXPECT_LE(f.prefetchHits(), f.prefetchIssued());
-}
-
-TEST(BlockFetcher, SlotsEnvKnobSetsCapacity)
-{
-    const BenchProgram &bench = Suite::instance().get("pegwit");
-    Decompressor d(bench.image);
-    {
-        EnvGuard env("CPS_BLOCK_CACHE_SLOTS", "8");
-        EXPECT_EQ(BlockFetcher::Options::fromEnv().slots, 8u);
-        BlockFetcher f(d);
-        EXPECT_EQ(f.slots(), 8u);
-    }
-    {
-        EnvGuard env("CPS_BLOCK_CACHE_SLOTS", nullptr);
-        EXPECT_EQ(BlockFetcher::Options::fromEnv().slots, 64u);
-    }
-}
-
-TEST(BlockFetcher, PrefetchEnvKnobSelectsMode)
-{
-    {
-        EnvGuard env("CPS_BLOCK_PREFETCH", "off");
-        BlockFetcher::Options o = BlockFetcher::Options::fromEnv();
-        EXPECT_FALSE(o.prefetch);
-    }
-    {
-        EnvGuard env("CPS_BLOCK_PREFETCH", "sync");
-        EXPECT_TRUE(BlockFetcher::Options::fromEnv().prefetch);
-    }
-    {
-        // Not a mode: warned about once, and the default runs.
-        EnvGuard env("CPS_BLOCK_PREFETCH", "async");
-        EXPECT_TRUE(BlockFetcher::Options::fromEnv().prefetch);
-    }
-    {
-        EnvGuard env("CPS_BLOCK_PREFETCH", nullptr);
-        EXPECT_TRUE(BlockFetcher::Options::fromEnv().prefetch);
-    }
+    for (u32 pass = 0; pass < 4; ++pass)
+        for (u32 b = 0; b < std::min<u32>(n, 16); ++b, ++accesses)
+            f.getFlat(b);
+    EXPECT_EQ(f.hits() + f.fills(), accesses);
+    EXPECT_GT(f.hits(), 0u);
 }
 
 TEST(BlockFetcher, ConcurrentFetchersShareOneDecompressor)
 {
     // Several fetchers (each single-consumer, as required) over the
     // same decompressor, running concurrently: exercises parallel
-    // decompressBlocks over the decoder's shared tables under TSan.
+    // decodes over the decoder's shared tables under TSan.
     const BenchProgram &bench = Suite::instance().get("go");
     Decompressor d(bench.image);
-    Decompressor ref(bench.image, DecodeKernel::Checked);
     u32 n = bench.image.numBlocks();
     std::vector<std::thread> threads;
     std::vector<int> failures(4, 0);
     for (int t = 0; t < 4; ++t) {
         threads.emplace_back([&, t] {
-            BlockFetcher f(d, BlockFetcher::Options{});
+            BlockFetcher f(d);
             for (u32 b = 0; b < n; ++b) {
                 u32 flat = (b + static_cast<u32>(t) * 17) % n;
                 const DecodedBlock &got = f.getFlat(flat);
-                Result<DecodedBlock> want = ref.tryDecompressBlock(
+                Result<DecodedBlock> want = d.tryDecompressBlock(
                     flat / kBlocksPerGroup, flat % kBlocksPerGroup);
                 if (!want.ok() || got.words != (*want).words)
                     ++failures[t];
@@ -295,8 +220,7 @@ TEST(BlockFetcherDomain, SecDedZeroFlipsIsByteIdentical)
     // Protection on, no faults: the fetch path must decode every block
     // bit-identically to the unprotected reference.
     DomainRig rig("pegwit", ProtectKind::SecDed);
-    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
-                   rig.domain.get());
+    BlockFetcher f(*rig.decomp, nullptr, rig.domain.get());
     checkByteIdentity(rig.img, f);
     EXPECT_EQ(f.poisons(), 0u);
     EXPECT_EQ(rig.domain->stats().unrecoverable, 0u);
@@ -306,12 +230,10 @@ TEST(BlockFetcherDomain, SecDedZeroFlipsIsByteIdentical)
 TEST(BlockFetcherDomain, CorrectsSingleFlipAndPoisonsStaleCopy)
 {
     DomainRig rig("pegwit", ProtectKind::SecDed);
-    Decompressor ref(rig.img, DecodeKernel::Checked);
-    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
-                   rig.domain.get());
+    BlockFetcher f(*rig.decomp, nullptr, rig.domain.get());
 
     u32 flat = firstBlockWithBytes(rig.img, 2);
-    Result<DecodedBlock> want = ref.tryDecompressBlock(
+    Result<DecodedBlock> want = rig.decomp->tryDecompressBlock(
         flat / kBlocksPerGroup, flat % kBlocksPerGroup);
     ASSERT_TRUE(want.ok());
 
@@ -338,11 +260,9 @@ TEST(BlockFetcherDomain, CorrectsSingleFlipAndPoisonsStaleCopy)
 TEST(BlockFetcherDomain, RefetchRecoversWhatCrcOnlyDetects)
 {
     DomainRig rig("pegwit", ProtectKind::Crc16);
-    Decompressor ref(rig.img, DecodeKernel::Checked);
-    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
-                   rig.domain.get());
+    BlockFetcher f(*rig.decomp, nullptr, rig.domain.get());
     u32 flat = firstBlockWithBytes(rig.img, 2);
-    Result<DecodedBlock> want = ref.tryDecompressBlock(
+    Result<DecodedBlock> want = rig.decomp->tryDecompressBlock(
         flat / kBlocksPerGroup, flat % kBlocksPerGroup);
     ASSERT_TRUE(want.ok());
 
@@ -361,8 +281,7 @@ TEST(BlockFetcherDomain, RefetchRecoversWhatCrcOnlyDetects)
 TEST(BlockFetcherDomain, UnrecoverableSurfacesStructuredError)
 {
     DomainRig rig("pegwit", ProtectKind::Crc8);
-    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
-                   rig.domain.get());
+    BlockFetcher f(*rig.decomp, nullptr, rig.domain.get());
     u32 flat = firstBlockWithBytes(rig.img, 2);
 
     (void)f.getFlat(flat);
@@ -399,7 +318,7 @@ TEST(BlockFetcherDomain, SelfInjectionSoakStaysByteIdentical)
     DomainRig rig("pegwit", ProtectKind::SecDed);
     SoftErrorDomain soak(rig.img, /*seed=*/41,
                          /*flip_rate_ppm=*/1000000, 2);
-    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr, &soak);
+    BlockFetcher f(*rig.decomp, nullptr, &soak);
     for (unsigned sweep = 0; sweep < 3; ++sweep) {
         soak.noteCorruption(); // re-verify everything each sweep
         checkByteIdentity(rig.img, f);
@@ -412,21 +331,23 @@ TEST(BlockFetcherDomain, SelfInjectionSoakStaysByteIdentical)
 TEST(BlockFetcherDomain, CountersConserveAccessesThroughPoisons)
 {
     DomainRig rig("go", ProtectKind::SecDed);
-    BlockFetcher f(*rig.decomp, BlockFetcher::Options{}, nullptr,
-                   rig.domain.get());
+    BlockFetcher f(*rig.decomp, nullptr, rig.domain.get());
     u32 n = rig.img.numBlocks();
+    ASSERT_GT(n, f.slots());
     u64 accesses = 0;
     for (u32 b = 0; b < n; ++b, ++accesses)
         ASSERT_TRUE(f.tryGetFlat(b).ok());
-    // Corrupt a few resident blocks, then sweep again: every poisoned
-    // re-decode must be accounted as a fill.
-    for (u32 b = 0; b < n; b += n / 7 + 1)
+    // Corrupt a few of the blocks the first sweep left resident (its
+    // last f.slots()), then sweep again from the resident end down, so
+    // each cached copy of a flipped block is found stale and poisoned:
+    // every poisoned re-decode must be accounted as a fill.
+    for (u32 b = n - f.slots(); b < n; b += 7)
         if (rig.img.blocks[b].byteLen > 0)
             flipWorkingBit(rig.img, b, 1);
     rig.domain->noteCorruption();
-    for (u32 b = 0; b < n; ++b, ++accesses)
+    for (u32 b = n; b-- > 0; ++accesses)
         ASSERT_TRUE(f.tryGetFlat(b).ok());
-    EXPECT_EQ(f.hits() + f.fills() + f.prefetchHits(), accesses);
+    EXPECT_EQ(f.hits() + f.fills(), accesses);
     EXPECT_GT(f.poisons(), 0u);
     EXPECT_GT(rig.domain->stats().corrected, 0u);
     // Verify-first repaired memory in place, so the whole image still

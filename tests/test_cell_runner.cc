@@ -40,10 +40,12 @@ namespace
 // CellRunnerConfig::fromEnv sees isolation + a finite deadline. The
 // deadline doubles as the hang-detection latency and the budget a
 // healthy worker gets, so it must stay far above a 20k-insn cell's
-// runtime even on an oversubscribed sanitizer host.
+// runtime even on an oversubscribed sanitizer host: 4 s is over 10x
+// the slowest healthy isolated 20k-insn cell of any profile on a
+// 4-vCPU host (69 ms under ASan+UBSan, 316 ms under TSan).
 const bool kEnvReady = [] {
     ::setenv("CPS_ISOLATE", "1", 1);
-    ::setenv("CPS_CELL_TIMEOUT_MS", "20000", 1);
+    ::setenv("CPS_CELL_TIMEOUT_MS", "4000", 1);
     ::setenv("CPS_CELL_RETRIES", "1", 1);
     ::setenv("CPS_CELL_BACKOFF_MS", "1", 1);
     return true;

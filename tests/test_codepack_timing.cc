@@ -278,6 +278,10 @@ TEST(DecompTiming, ResetClearsBufferAndIndexCache)
     LineFill fill = m.handleMiss(kTextBase + 32, 100);
     EXPECT_FALSE(fill.fromBuffer);
     EXPECT_FALSE(m.lastTrace().indexHit);
+    // The host block memo is not simulated state: the re-decode of
+    // block 0 after reset() is served from it.
+    EXPECT_EQ(f.stats.value("hostpf.fills"), 1u);
+    EXPECT_EQ(f.stats.value("hostpf.hits"), 1u);
 }
 
 TEST(DecompTiming, StatsCountEveryMiss)

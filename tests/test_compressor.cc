@@ -271,32 +271,26 @@ TEST(Compressor, DeterministicAcrossRuns)
     EXPECT_EQ(a.indexTable, b.indexTable);
 }
 
-TEST(Compressor, SimdAndScalarByteIdenticalAcrossThreadCounts)
+TEST(Compressor, ByteIdenticalAcrossThreadCounts)
 {
-    // The acceptance bar for the vectorized hot loops: SIMD-compressed
-    // images must be byte-for-byte the scalar serial reference at any
-    // thread count. A mixed program exercises the histogram, dictionary
-    // match, zero-special and raw-escape paths together.
+    // Images must be byte-for-byte the serial reference at any thread
+    // count. A mixed program exercises the histogram, dictionary
+    // encode, zero-special and raw-escape paths together.
     auto words = repetitiveProgram(700, 21);
     Rng rng(22);
     for (size_t i = 0; i < words.size(); i += 9)
         words[i] = static_cast<u32>(rng.next()); // sprinkle raw escapes
     CompressorConfig ref_cfg;
     ref_cfg.threads = 1;
-    ref_cfg.simd = false;
     CompressedImage ref = compressWords(words, kTextBase, ref_cfg);
-    for (bool simd : {false, true})
-        for (unsigned threads : {1u, 2u, 8u}) {
-            CompressorConfig cfg;
-            cfg.threads = threads;
-            cfg.simd = simd;
-            CompressedImage img = compressWords(words, kTextBase, cfg);
-            EXPECT_EQ(img.bytes, ref.bytes)
-                << "simd=" << simd << " threads=" << threads;
-            EXPECT_EQ(img.indexTable, ref.indexTable)
-                << "simd=" << simd << " threads=" << threads;
-            EXPECT_EQ(img.comp.totalBits(), ref.comp.totalBits());
-        }
+    for (unsigned threads : {2u, 8u}) {
+        CompressorConfig cfg;
+        cfg.threads = threads;
+        CompressedImage img = compressWords(words, kTextBase, cfg);
+        EXPECT_EQ(img.bytes, ref.bytes) << "threads=" << threads;
+        EXPECT_EQ(img.indexTable, ref.indexTable) << "threads=" << threads;
+        EXPECT_EQ(img.comp.totalBits(), ref.comp.totalBits());
+    }
 }
 
 TEST(Compressor, AllNopsCompressExtremelyWell)

@@ -50,49 +50,21 @@ expectBlockEq(const DecodedBlock &fast, const DecodedBlock &want,
 }
 
 /**
- * Every rung of the kernel ladder — and the batched multi-block path —
- * decodes every block of @p img identically to the checked bit-serial
- * reference.
+ * The trusted kernel decodes every block of @p img identically to the
+ * checked bit-serial reference.
  */
 void
-expectAllKernelsMatchChecked(const CompressedImage &img,
-                             const std::string &name)
+expectTrustedMatchesChecked(const CompressedImage &img,
+                            const std::string &name)
 {
-    constexpr DecodeKernel kKernels[] = {
-        DecodeKernel::Checked, DecodeKernel::Lut, DecodeKernel::Lut2};
-    Decompressor ref(img, DecodeKernel::Checked);
-    for (DecodeKernel k : kKernels) {
-        Decompressor d(img, k);
-        ASSERT_EQ(d.kernel(), k);
-        for (u32 g = 0; g < img.numGroups(); ++g) {
-            for (u32 b = 0; b < kBlocksPerGroup; ++b) {
-                Result<DecodedBlock> want = ref.tryDecompressBlock(g, b);
-                ASSERT_TRUE(want.ok()) << name << " group " << g;
-                expectBlockEq(d.decompressBlock(g, b), want.value(),
-                              strfmt("%s kernel=%s group %u block %u",
-                                     name.c_str(), decodeKernelName(k),
-                                     g, b));
-            }
-        }
-        // The batched entry point must agree block for block — both
-        // over the whole image (exercising the 4-wide interleave and
-        // its raw-block/tail fallbacks) and from an odd first block
-        // (unaligned batch start).
-        u32 blocks = img.numBlocks();
-        std::vector<DecodedBlock> batch(blocks);
-        d.decompressBlocks(0, blocks, batch.data());
-        for (u32 fb = 0; fb < blocks; ++fb)
-            expectBlockEq(batch[fb], ref.decompressFlatBlock(fb),
-                          strfmt("%s kernel=%s batched flat block %u",
-                                 name.c_str(), decodeKernelName(k), fb));
-        if (blocks > 1) {
-            std::vector<DecodedBlock> odd(blocks - 1);
-            d.decompressBlocks(1, blocks - 1, odd.data());
-            for (u32 fb = 1; fb < blocks; ++fb)
-                expectBlockEq(odd[fb - 1], ref.decompressFlatBlock(fb),
-                              strfmt("%s kernel=%s odd batch block %u",
-                                     name.c_str(), decodeKernelName(k),
-                                     fb));
+    Decompressor d(img);
+    for (u32 g = 0; g < img.numGroups(); ++g) {
+        for (u32 b = 0; b < kBlocksPerGroup; ++b) {
+            Result<DecodedBlock> want = d.tryDecompressBlock(g, b);
+            ASSERT_TRUE(want.ok()) << name << " group " << g;
+            expectBlockEq(d.decompressBlock(g, b), want.value(),
+                          strfmt("%s group %u block %u", name.c_str(), g,
+                                 b));
         }
     }
 }
@@ -102,7 +74,7 @@ TEST(DecodeLut, TrustedMatchesCheckedOnEveryProfileBlock)
     Suite &suite = Suite::instance();
     suite.pregenerate();
     for (const std::string &name : suite.names())
-        expectAllKernelsMatchChecked(suite.get(name).image, name);
+        expectTrustedMatchesChecked(suite.get(name).image, name);
 }
 
 /**
@@ -169,8 +141,8 @@ mixedWords(const std::vector<u16> &high_picks,
     words.reserve(count);
     for (size_t i = 0; i < count; ++i) {
         // Mostly dictionary hits, with raw halves and zero lows mixed
-        // in so every decode rung (pair, single, raw escape, low-zero)
-        // appears in every stream.
+        // in so every decode path (fused probe, per-symbol probe, raw
+        // escape, low-zero) appears in every stream.
         u16 hi = rng.below(4) == 0
                      ? static_cast<u16>(rng.below(65536))
                      : high_picks[rng.below(
@@ -196,42 +168,41 @@ TEST(DecodeLut, AllRawDictionariesNeverDoublePack)
 {
     // Empty dictionaries: every halfword escapes raw (19 + 19 bits per
     // instruction, 76-byte blocks — still under the 128-byte index
-    // limit for block 0). The PairLut must be all escape slots.
+    // limit for block 0), so the fused probe never resolves an
+    // instruction and every halfword takes the per-symbol raw path.
     Dictionary high(Dictionary::Kind::High);
     Dictionary low(Dictionary::Kind::Low);
-    EXPECT_EQ(PairLut(high, low).pairSlots(), 0u);
 
     std::vector<u32> words =
         mixedWords({0xdead}, {0xbeef}, 4 * kGroupInsns, 0xa11);
     CompressedImage img =
         imageOverDicts(words, std::move(high), std::move(low));
-    expectAllKernelsMatchChecked(img, "all-raw");
+    expectTrustedMatchesChecked(img, "all-raw");
 }
 
 TEST(DecodeLut, SingleEntryDictionaries)
 {
-    // One bank-0 entry per dictionary: the only double-packable window
-    // is that 6-bit high code followed by the low zero code or the one
-    // 6-bit low code.
+    // One bank-0 entry per dictionary: every other index pattern of
+    // the populated banks is unpopulated, and the only in-dictionary
+    // instructions are that 6-bit high code followed by the low zero
+    // code or the one 6-bit low code.
     Dictionary high = Dictionary::fromBankEntries(
         Dictionary::Kind::High, {{0x4242}, {}, {}, {}});
     Dictionary low = Dictionary::fromBankEntries(Dictionary::Kind::Low,
                                                  {{0x1771}, {}, {}});
-    EXPECT_GT(PairLut(high, low).pairSlots(), 0u);
 
     std::vector<u32> words =
         mixedWords({0x4242}, {0x1771}, 6 * kGroupInsns, 0x5e1);
     CompressedImage img =
         imageOverDicts(words, std::move(high), std::move(low));
-    expectAllKernelsMatchChecked(img, "single-entry");
+    expectTrustedMatchesChecked(img, "single-entry");
 }
 
-TEST(DecodeLut, MaxLengthCodewordsNeverDoublePack)
+TEST(DecodeLut, MaxLengthCodewordsFillTheFusedPeek)
 {
     // Only the last bank populated: every dictionary codeword is the
-    // maximum 11 bits, so no high+low combination — not even 11 bits
-    // plus the 2-bit low zero code — fits the PairLut window. Double
-    // packing must never apply, and decode must still agree.
+    // maximum 11 bits, so an in-dictionary instruction uses the fused
+    // probe's whole 22-bit window, and decode must still agree.
     std::vector<u16> high_vals, low_vals;
     for (u16 v = 0; v < 32; ++v) {
         high_vals.push_back(static_cast<u16>(0x8000 + v));
@@ -241,13 +212,12 @@ TEST(DecodeLut, MaxLengthCodewordsNeverDoublePack)
         Dictionary::Kind::High, {{}, {}, {}, high_vals});
     Dictionary low = Dictionary::fromBankEntries(
         Dictionary::Kind::Low, {{}, {}, low_vals});
-    EXPECT_EQ(PairLut(high, low).pairSlots(), 0u);
 
     std::vector<u32> words =
         mixedWords(high_vals, low_vals, 6 * kGroupInsns, 0x3aa);
     CompressedImage img =
         imageOverDicts(words, std::move(high), std::move(low));
-    expectAllKernelsMatchChecked(img, "max-length");
+    expectTrustedMatchesChecked(img, "max-length");
 }
 
 /** A dictionary with a couple of populated banks for stream tests. */
