@@ -1,10 +1,12 @@
 #include "ipc_frame.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <csignal>
 #include <cstring>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "byteio.hh"
@@ -47,15 +49,21 @@ readFully(int fd, u8 *dst, size_t n, bool have_deadline,
         struct pollfd pfd;
         pfd.fd = fd;
         pfd.events = POLLIN;
-        int rc = ::poll(&pfd, 1, static_cast<int>(
-                                     remainingMs(have_deadline, deadline)));
+        // poll(2) takes an int: a longer wait is served in INT_MAX
+        // slices, re-polling until the deadline itself has passed.
+        long left = remainingMs(have_deadline, deadline);
+        int rc = ::poll(&pfd, 1,
+                        static_cast<int>(std::min<long>(left, INT_MAX)));
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
             return FrameReadStatus::IoError;
         }
-        if (rc == 0)
+        if (rc == 0) {
+            if (remainingMs(have_deadline, deadline) > 0)
+                continue;
             return FrameReadStatus::Timeout;
+        }
         ssize_t r = ::read(fd, dst + got, n - got);
         if (r < 0) {
             if (errno == EINTR)
@@ -72,24 +80,6 @@ readFully(int fd, u8 *dst, size_t n, bool have_deadline,
 }
 
 } // namespace
-
-const char *
-frameReadStatusName(FrameReadStatus status)
-{
-    switch (status) {
-      case FrameReadStatus::Ok:
-        return "ok";
-      case FrameReadStatus::Eof:
-        return "eof";
-      case FrameReadStatus::Torn:
-        return "torn";
-      case FrameReadStatus::Timeout:
-        return "timeout";
-      case FrameReadStatus::IoError:
-        return "io-error";
-    }
-    return "?";
-}
 
 std::vector<u8>
 encodeFrame(u32 type, const std::vector<u8> &payload)
@@ -138,67 +128,27 @@ decodeFrameAt(const std::vector<u8> &bytes, size_t &pos, IpcFrame &out)
     return FrameReadStatus::Ok;
 }
 
+void
+ignoreSigpipe()
+{
+    ::signal(SIGPIPE, SIG_IGN);
+}
+
 bool
 writeFrame(int fd, u32 type, const std::vector<u8> &payload)
 {
     std::vector<u8> bytes = encodeFrame(type, payload);
-    // Prefer send(MSG_NOSIGNAL): on a socket whose peer is gone this
-    // fails with EPIPE instead of raising SIGPIPE. Pipes reject send()
-    // with ENOTSOCK, so fall back to write(2) for them once.
-    bool use_send = true;
     size_t sent = 0;
     while (sent < bytes.size()) {
-        ssize_t w =
-            use_send ? ::send(fd, bytes.data() + sent,
-                              bytes.size() - sent, MSG_NOSIGNAL)
-                     : ::write(fd, bytes.data() + sent,
-                               bytes.size() - sent);
+        ssize_t w = ::write(fd, bytes.data() + sent, bytes.size() - sent);
         if (w < 0) {
             if (errno == EINTR)
                 continue;
-            if (use_send && errno == ENOTSOCK) {
-                use_send = false;
-                continue;
-            }
             return false;
         }
         sent += static_cast<size_t>(w);
     }
     return true;
-}
-
-FrameGather
-gatherFrame(const std::vector<u8> &buffer, size_t &pos, IpcFrame &out,
-            size_t max_payload)
-{
-    const size_t have = buffer.size() - pos;
-    if (have == 0)
-        return FrameGather::NeedMore;
-    // Validate the magic as soon as any of it is visible: garbage is
-    // rejected immediately instead of after max_payload bytes of it.
-    size_t magic_seen = have < sizeof(kMagic) ? have : sizeof(kMagic);
-    if (std::memcmp(buffer.data() + pos, kMagic, magic_seen) != 0)
-        return FrameGather::Damaged;
-    if (have < kHeaderBytes)
-        return FrameGather::NeedMore;
-    const u8 *hdr = buffer.data() + pos;
-    u32 len = static_cast<u32>(hdr[8]) | (static_cast<u32>(hdr[9]) << 8) |
-              (static_cast<u32>(hdr[10]) << 16) |
-              (static_cast<u32>(hdr[11]) << 24);
-    if (size_t{len} > max_payload)
-        return FrameGather::Damaged;
-    size_t total = kHeaderBytes + size_t{len} + kTrailerBytes;
-    if (have < total)
-        return FrameGather::NeedMore;
-    size_t scan = pos;
-    switch (decodeFrameAt(buffer, scan, out)) {
-      case FrameReadStatus::Ok:
-        pos = scan;
-        return FrameGather::Frame;
-      default:
-        // The full frame is present but failed verification.
-        return FrameGather::Damaged;
-    }
 }
 
 FrameReadStatus

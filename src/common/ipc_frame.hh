@@ -1,10 +1,10 @@
 /**
  * @file
- * CRC'd message framing for byte streams between cooperating processes.
+ * CRC'd message framing for the crash-isolated harness.
  *
- * The crash-isolated experiment harness runs each matrix cell in a
- * forked worker and ships the result back over a pipe. The bytes on
- * that pipe are untrusted in exactly the way cached artifacts are: the
+ * Two byte streams use it. A forked cell worker (harness/cell_runner)
+ * ships its result to the parent over a pipe, and the bytes on that
+ * pipe are untrusted in exactly the way cached artifacts are: the
  * writer may have been killed mid-frame, crashed after writing half a
  * payload, or (in fault-campaign runs) deliberately garbled the stream.
  * Every frame therefore carries its own length and a CRC-32 over the
@@ -20,7 +20,7 @@
  *
  * The same encoding doubles as the on-disk record format of the matrix
  * journal (an append-only file of frames): a process killed mid-append
- * leaves a torn final frame, which decodeFrames() cleanly stops at.
+ * leaves a torn final frame, which decodeFrameAt() cleanly stops at.
  */
 
 #ifndef CPS_COMMON_IPC_FRAME_HH
@@ -44,15 +44,6 @@ struct IpcFrame
 /** Serializes one frame (magic, type, length, payload, CRC). */
 std::vector<u8> encodeFrame(u32 type, const std::vector<u8> &payload);
 
-/**
- * Default upper bound on a frame's declared payload length. A peer is
- * in the same trust domain as a cache file: the declared length must
- * be bounded before it is believed. Callers with a known message
- * economy (a result envelope, a matrix request) pass a far tighter
- * bound to readFrame()/gatherFrame().
- */
-constexpr size_t kMaxFramePayload = 64u << 20;
-
 /** How a stream read ended. */
 enum class FrameReadStatus
 {
@@ -62,9 +53,6 @@ enum class FrameReadStatus
     Timeout, ///< the deadline expired before a full frame arrived
     IoError, ///< read(2)/poll(2) failed
 };
-
-/** Short stable name for a status ("ok", "eof", "torn", ...). */
-const char *frameReadStatusName(FrameReadStatus status);
 
 /**
  * Decodes consecutive frames from @p bytes starting at @p pos,
@@ -76,11 +64,18 @@ FrameReadStatus decodeFrameAt(const std::vector<u8> &bytes, size_t &pos,
                               IpcFrame &out);
 
 /**
- * Writes one frame to @p fd, retrying short writes and EINTR. Socket
- * fds are written with MSG_NOSIGNAL so a disconnected peer surfaces as
- * a clean failure; pipe writers additionally call ignoreSigpipe()
- * (common/socket.hh) so EPIPE never arrives as a signal there either.
- * @return false on any unrecoverable write error (EPIPE included)
+ * Sets SIGPIPE to SIG_IGN process-wide, so that a write to a pipe
+ * whose reader is gone fails with EPIPE instead of killing the writer.
+ * A forked cell worker calls it before writing its result: a parent
+ * that timed out has already closed the read end. Idempotent, and
+ * inherited across fork.
+ */
+void ignoreSigpipe();
+
+/**
+ * Writes one frame to @p fd, retrying short writes and EINTR.
+ * @return false on any unrecoverable write error (EPIPE included,
+ *         once ignoreSigpipe() has run)
  */
 bool writeFrame(int fd, u32 type, const std::vector<u8> &payload);
 
@@ -88,31 +83,12 @@ bool writeFrame(int fd, u32 type, const std::vector<u8> &payload);
  * Reads one frame from @p fd, blocking up to @p timeout_ms
  * (negative = no deadline). On Timeout/Torn/IoError the stream
  * position is unspecified — the caller is expected to give up on the
- * peer, not resynchronize. A frame declaring a payload larger than
- * @p max_payload is classified Torn without being read.
+ * peer, not resynchronize. The declared length is bounded before it is
+ * believed: a frame declaring a payload larger than @p max_payload is
+ * classified Torn without being read.
  */
 FrameReadStatus readFrame(int fd, IpcFrame &out, long timeout_ms,
-                          size_t max_payload = kMaxFramePayload);
-
-/** Incremental decode over a growing receive buffer. */
-enum class FrameGather
-{
-    Frame,    ///< a complete, CRC-verified frame was extracted
-    NeedMore, ///< the buffer ends inside a plausible frame — keep reading
-    Damaged,  ///< bad magic, oversized length, or CRC mismatch: give up
-};
-
-/**
- * Attempts to extract one frame from @p buffer starting at @p pos.
- * Unlike decodeFrameAt (whole-stream decode, where a short tail means
- * a dead writer), this distinguishes "not arrived yet" from
- * "verifiably damaged", which is what a nonblocking server loop
- * accumulating bytes from a live — possibly slow, possibly hostile —
- * client needs. On Frame, @p pos advances past the frame.
- */
-FrameGather gatherFrame(const std::vector<u8> &buffer, size_t &pos,
-                        IpcFrame &out,
-                        size_t max_payload = kMaxFramePayload);
+                          size_t max_payload);
 
 } // namespace cps
 

@@ -15,7 +15,6 @@
 #include "common/byteio.hh"
 #include "common/ipc_frame.hh"
 #include "common/logging.hh"
-#include "common/socket.hh"
 
 namespace cps
 {
@@ -35,6 +34,15 @@ constexpr size_t kMaxResultPayload = 1u << 20;
 constexpr u8 kEnvelopeVersion = 2;
 
 /**
+ * The retry backoff doubles per attempt at most this many times, then
+ * stays flat. Retries target transient host causes (an OOM kill, a
+ * stray signal) that clear within a minute or two, and ten doublings
+ * take the default 100 ms base to 102 s. The cap also keeps the shift
+ * in range for all 100 retries CPS_CELL_RETRIES accepts.
+ */
+constexpr unsigned kMaxBackoffDoublings = 10;
+
+/**
  * fork(2) from a threaded parent is safe for the child only if no
  * other thread is mid-fork mutating shared process state at that
  * instant; serializing the forks (workers still run concurrently)
@@ -51,13 +59,6 @@ std::mutex forkMutex;
  * deadline and misreports the crash as a timeout.
  */
 std::vector<int> liveResultPipes;
-
-/**
- * Parent-process fds (listening sockets, client connections, event
- * pipes) that every forked worker must close — see
- * registerWorkerCloseFd. Guarded by forkMutex like liveResultPipes.
- */
-std::vector<int> workerCloseFds;
 
 /** Closes and deregisters a result-pipe write end (parent side). */
 void
@@ -185,24 +186,6 @@ fromRunOutcome(RunOutcome run, unsigned attempt)
 }
 
 } // namespace
-
-void
-registerWorkerCloseFd(int fd)
-{
-    std::lock_guard<std::mutex> lock(forkMutex);
-    if (std::find(workerCloseFds.begin(), workerCloseFds.end(), fd) ==
-        workerCloseFds.end())
-        workerCloseFds.push_back(fd);
-}
-
-void
-unregisterWorkerCloseFd(int fd)
-{
-    std::lock_guard<std::mutex> lock(forkMutex);
-    workerCloseFds.erase(std::remove(workerCloseFds.begin(),
-                                     workerCloseFds.end(), fd),
-                         workerCloseFds.end());
-}
 
 const char *
 cellStateName(CellState state)
@@ -450,8 +433,9 @@ CellRunner::run(const RunRequest &req) const
             return out;
         if (attempt >= cfg_.retries)
             return out;
-        unsigned delay = cfg_.backoffMs << attempt;
-        if (cfg_.backoffMs > 0)
+        u64 delay = u64{cfg_.backoffMs}
+                    << std::min(attempt, kMaxBackoffDoublings);
+        if (delay > 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(delay));
     }
 }
@@ -494,8 +478,6 @@ CellRunner::runIsolated(const RunRequest &req, unsigned attempt) const
             for (int fd : liveResultPipes)
                 if (fd != fds[1])
                     ::close(fd);
-            for (int fd : workerCloseFds)
-                ::close(fd);
         }
     }
     if (pid < 0) {

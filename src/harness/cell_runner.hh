@@ -19,7 +19,8 @@
  *   CPS_ISOLATE=1          fork one worker per cell (default: inline)
  *   CPS_CELL_TIMEOUT_MS    per-cell wall-clock deadline (default 0 = none)
  *   CPS_CELL_RETRIES       extra attempts after a failure (default 1)
- *   CPS_CELL_BACKOFF_MS    base backoff, doubled per attempt (default 100)
+ *   CPS_CELL_BACKOFF_MS    base backoff, doubled per attempt up to 10
+ *                          times (default 100)
  */
 
 #ifndef CPS_HARNESS_CELL_RUNNER_HH
@@ -117,7 +118,7 @@ struct CellRunnerConfig
     bool isolate = false;    ///< fork one worker per cell
     long timeoutMs = 0;      ///< per-cell deadline; 0 = none
     unsigned retries = 1;    ///< extra attempts after a failure
-    unsigned backoffMs = 100; ///< base backoff, doubled per attempt
+    unsigned backoffMs = 100; ///< base backoff, doubled up to 10 times
 
     /** The process-wide policy (CPS_ISOLATE & friends, read once). */
     static const CellRunnerConfig &fromEnv();
@@ -154,18 +155,6 @@ class CellRunner
  */
 std::vector<u8> encodeRunOutcome(const RunOutcome &out);
 Result<RunOutcome> decodeRunOutcomeChecked(const std::vector<u8> &bytes);
-
-/**
- * Registers @p fd to be closed in every subsequently forked cell
- * worker (and removes it again). The campaign daemon runs an accept
- * loop in the same process that forks workers; a worker inheriting the
- * listening socket or a client connection would keep that peer from
- * ever seeing EOF after the daemon dies — exactly the kind of silent
- * hang the service exists to prevent. Thread-safe; fds already
- * registered are ignored.
- */
-void registerWorkerCloseFd(int fd);
-void unregisterWorkerCloseFd(int fd);
 
 /**
  * Cache-style key of one cell: every input the outcome is a function

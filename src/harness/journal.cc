@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <fcntl.h>
 #include <filesystem>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/byteio.hh"
@@ -134,13 +133,18 @@ MatrixJournal::append(size_t index, const std::string &cell_key,
         return;
 
     if (!headerWritten_) {
-        struct stat st;
-        bool empty = ::stat(path_.c_str(), &st) != 0 || st.st_size == 0;
-        if (!empty && scanComplete()) {
+        Scan found = scan();
+        if (found.complete) {
             complete_ = true;
             return;
         }
-        if (empty) {
+        // load() stops at the first damaged frame, so a record appended
+        // after a torn tail could never be read: cut the tail first.
+        if (found.intactBytes < found.fileBytes &&
+            ::truncate(path_.c_str(),
+                       static_cast<off_t>(found.intactBytes)) != 0)
+            return;
+        if (found.intactBytes == 0) {
             std::vector<u8> key_bytes(matrixKey_.begin(),
                                       matrixKey_.end());
             if (!appendOnce(path_,
@@ -159,18 +163,19 @@ MatrixJournal::append(size_t index, const std::string &cell_key,
     appendOnce(path_, encodeFrame(kFrameJournalRecord, payload));
 }
 
-bool
-MatrixJournal::scanComplete() const
+MatrixJournal::Scan
+MatrixJournal::scan() const
 {
+    Scan found;
     auto bytes = readFileBytes(path_);
     if (!bytes)
-        return false;
-    size_t pos = 0;
+        return found;
+    found.fileBytes = bytes->size();
     IpcFrame frame;
-    while (decodeFrameAt(*bytes, pos, frame) == FrameReadStatus::Ok)
-        if (frame.type == kFrameJournalComplete)
-            return true;
-    return false;
+    while (decodeFrameAt(*bytes, found.intactBytes, frame) ==
+           FrameReadStatus::Ok)
+        found.complete |= frame.type == kFrameJournalComplete;
+    return found;
 }
 
 bool
@@ -179,7 +184,7 @@ MatrixJournal::complete() const
     std::lock_guard<std::mutex> lock(mutex_);
     // A fresh handle may not have touched the file yet; observe the
     // on-disk tombstone rather than reporting "unknown" as "no".
-    if (!complete_ && scanComplete())
+    if (!complete_ && scan().complete)
         complete_ = true;
     return complete_;
 }

@@ -16,8 +16,9 @@
  * Frames are CRC'd (common/ipc_frame) and appended with a single
  * write(2) each, so a kill can only tear the final record — loading
  * stops cleanly at the first damaged frame and everything before it is
- * still usable. Only successful cells are journaled; failed cells are
- * re-executed on resume.
+ * still usable, and the resumed run's first append cuts the torn tail.
+ * Only successful cells are journaled; failed cells are re-executed on
+ * resume.
  */
 
 #ifndef CPS_HARNESS_JOURNAL_HH
@@ -72,9 +73,12 @@ class MatrixJournal
      * Appends one completed cell. Thread-safe; each record is one
      * write(2) + fsync so a checkpoint survives a host crash, and
      * concurrent appends and kills cannot interleave partial records
-     * anywhere but the tail. Failures are non-fatal (the cell simply
-     * re-executes on resume). Appending to a compacted (complete)
-     * journal is a no-op — the record is already there.
+     * anywhere but the tail. The first append through a handle cuts
+     * the file back to its last verified frame, so a torn tail left by
+     * a killed run cannot hide the records appended after it. Failures
+     * are non-fatal (the cell simply re-executes on resume). Appending
+     * to a compacted (complete) journal is a no-op — the record is
+     * already there.
      */
     void append(size_t index, const std::string &cell_key,
                 const RunOutcome &outcome);
@@ -82,11 +86,11 @@ class MatrixJournal
     /**
      * Rewrites a fully-completed journal as its minimal closed form:
      * header, exactly one record per cell, and a completion tombstone
-     * frame. A daemon replaying the same matrix across many requests
-     * would otherwise append a duplicate record set per request and
-     * grow the file without bound; after compaction, further appends
-     * are suppressed (see append) and loads stay O(cells). Atomic
-     * (temp + rename); best-effort like every journal write.
+     * frame. Two concurrent runs of the same matrix sharing a cache
+     * directory each append every cell, so the file can hold
+     * duplicate records; compaction drops them, and after it further
+     * appends are suppressed (see append) and loads stay O(cells).
+     * Atomic (temp + rename); best-effort like every journal write.
      * @return true when the journal is complete (already or now)
      */
     bool compact(const std::vector<RunRequest> &requests);
@@ -95,8 +99,17 @@ class MatrixJournal
     bool complete() const;
 
   private:
-    /** Scans the file for a completion tombstone (mutex_ held). */
-    bool scanComplete() const;
+    /** What a scan of the file's verified frames found. */
+    struct Scan
+    {
+        bool complete = false;  ///< a completion tombstone is present
+        size_t intactBytes = 0; ///< end of the last verified frame
+        size_t fileBytes = 0;   ///< 0 when the file is missing
+    };
+
+    /** Scans the file's frames up to the first damaged one (mutex_
+     *  held). */
+    Scan scan() const;
 
     std::string dir_;
     std::string matrixKey_;

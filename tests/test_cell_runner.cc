@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <thread>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -52,6 +53,9 @@ const bool kEnvReady = [] {
 }();
 
 constexpr u64 kInsns = 20000;
+
+/** Payload bound for the pipe tests' frames (all far smaller). */
+constexpr size_t kMaxPayload = 1024;
 
 /** A fresh scratch directory, removed on destruction. */
 struct ScratchDir
@@ -154,16 +158,41 @@ TEST(IpcFrame, PipeRoundtripAndTimeout)
     ASSERT_TRUE(writeFrame(fds[1], 9, payload));
 
     IpcFrame frame;
-    ASSERT_EQ(readFrame(fds[0], frame, 1000), FrameReadStatus::Ok);
+    ASSERT_EQ(readFrame(fds[0], frame, 1000, kMaxPayload),
+              FrameReadStatus::Ok);
     EXPECT_EQ(frame.type, 9u);
     EXPECT_EQ(frame.payload, payload);
 
     // Nothing left in the pipe: a short deadline must expire cleanly.
-    EXPECT_EQ(readFrame(fds[0], frame, 50), FrameReadStatus::Timeout);
+    EXPECT_EQ(readFrame(fds[0], frame, 50, kMaxPayload),
+              FrameReadStatus::Timeout);
+
+    // A deadline beyond poll(2)'s int range must still wait for a late
+    // writer: 2^32 + 50 ms is not a 50 ms deadline.
+    std::thread late_writer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(250));
+        writeFrame(fds[1], 9, payload);
+    });
+    EXPECT_EQ(readFrame(fds[0], frame, (1L << 32) + 50, kMaxPayload),
+              FrameReadStatus::Ok);
+    late_writer.join();
 
     ::close(fds[1]);
-    EXPECT_EQ(readFrame(fds[0], frame, 50), FrameReadStatus::Eof);
+    EXPECT_EQ(readFrame(fds[0], frame, 50, kMaxPayload),
+              FrameReadStatus::Eof);
     ::close(fds[0]);
+}
+
+TEST(IpcFrame, WriteToClosedReaderFailsCleanly)
+{
+    // A worker whose parent timed out writes into a pipe nobody reads:
+    // the write must fail, not kill the writer with SIGPIPE.
+    ignoreSigpipe();
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ::close(fds[0]);
+    EXPECT_FALSE(writeFrame(fds[1], 9, std::vector<u8>(100, 0x5A)));
+    ::close(fds[1]);
 }
 
 TEST(IpcFrame, WriterDeadMidFrameIsTorn)
@@ -176,7 +205,8 @@ TEST(IpcFrame, WriterDeadMidFrameIsTorn)
               static_cast<ssize_t>(frame.size() / 2));
     ::close(fds[1]);
     IpcFrame out;
-    EXPECT_EQ(readFrame(fds[0], out, 1000), FrameReadStatus::Torn);
+    EXPECT_EQ(readFrame(fds[0], out, 1000, kMaxPayload),
+              FrameReadStatus::Torn);
     ::close(fds[0]);
 }
 
@@ -449,6 +479,15 @@ TEST(CellRunner, ExhaustedRetriesKeepTheFinalFailure)
         CellRunner(isolatedConfig(20000, /*retries=*/1)).run(req);
     EXPECT_EQ(out.status.state, CellState::Crashed);
     EXPECT_EQ(out.status.attempts, 2u);
+
+    // Retries past the 32nd attempt: the backoff must stay defined
+    // (a zero base keeps the 41 attempts fast).
+    CellRunnerConfig many = isolatedConfig(20000, /*retries=*/40);
+    many.backoffMs = 0;
+    out = CellRunner(many).run(
+        benchRequest("pegwit", CellFault::ExitNonzero));
+    EXPECT_EQ(out.status.state, CellState::ExitedError);
+    EXPECT_EQ(out.status.attempts, 41u);
 }
 
 // --------------------------------------- matrix-level fault containment
@@ -604,6 +643,16 @@ TEST(MatrixJournal, TornTailKeepsEveryRecordBeforeIt)
     ASSERT_TRUE(loaded[0].has_value()); // intact record survives
     expectSameOutcome(*loaded[0], first.outcome);
     EXPECT_FALSE(loaded[1].has_value()); // torn record re-executes
+
+    // The resumed run journals the re-executed cell after the tear: a
+    // fresh load must see both cells, and the journal must close.
+    harness::MatrixJournal resumed(dir.path, key, reqs.size());
+    resumed.append(1, harness::cellKey(reqs[1]), second.outcome);
+    loaded = harness::MatrixJournal(dir.path, key, reqs.size()).load(reqs);
+    ASSERT_TRUE(loaded[0].has_value());
+    ASSERT_TRUE(loaded[1].has_value());
+    expectSameOutcome(*loaded[1], second.outcome);
+    EXPECT_TRUE(resumed.compact(reqs));
 }
 
 TEST(MatrixJournal, MissingFileLoadsNothing)
@@ -628,9 +677,9 @@ TEST(MatrixJournal, CompactShrinksDuplicatesAndKeepsEveryCell)
     ASSERT_TRUE(first.status.ok());
     ASSERT_TRUE(second.status.ok());
 
-    // A daemon serving the same matrix repeatedly appends the same
-    // records over and over; compaction must collapse the file to its
-    // minimal closed form without losing a cell.
+    // Concurrent runs of one matrix that share a cache directory append
+    // the same records over and over; compaction must collapse the file
+    // to its minimal closed form without losing a cell.
     harness::MatrixJournal journal(dir.path, key, reqs.size());
     for (int round = 0; round < 5; ++round) {
         journal.append(0, harness::cellKey(reqs[0]), first.outcome);
