@@ -11,8 +11,10 @@
  *   - registers: $0..$31, conventional aliases ($sp, $t0, ...), $f0..$f31
  *   - memory operands: offset($reg)
  *   - pseudo-instructions: nop, move, li, la, b, beqz, bnez, blt, bgt,
- *     ble, bge, neg, not, subi (expanded deterministically so that pass-1
+ *     ble, bge, neg, not (expanded deterministically so that pass-1
  *     sizes always match pass-2 emission)
+ *   - location counters: .text may not run past kDataBase, nor .data
+ *     past kStackTop
  *
  * There are no branch delay slots in this ISA.
  */

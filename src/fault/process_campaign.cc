@@ -53,6 +53,9 @@ expectedStateFor(harness::CellFault fault)
       case CellFault::CrashOnce:
         // With at least one retry the second attempt succeeds.
         return CellState::Ok;
+      case CellFault::SlowResult:
+        // Late, but it succeeds.
+        return CellState::Ok;
     }
     return CellState::Ok;
 }

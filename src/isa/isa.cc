@@ -1,7 +1,7 @@
 #include "isa.hh"
 
 #include <array>
-#include <map>
+#include <unordered_map>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -550,10 +550,11 @@ mnemonic(Op op)
 }
 
 std::optional<Op>
-opFromMnemonic(const std::string &name)
+opFromMnemonic(std::string_view name)
 {
-    static const std::map<std::string, Op> table = [] {
-        std::map<std::string, Op> m;
+    // Keys view the static names in descFor().
+    static const std::unordered_map<std::string_view, Op> table = [] {
+        std::unordered_map<std::string_view, Op> m;
         for (unsigned i = 1; i < static_cast<unsigned>(Op::kNumOps); ++i) {
             Op op = static_cast<Op>(i);
             m[mnemonic(op)] = op;

@@ -15,6 +15,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.hh"
 
@@ -133,7 +134,7 @@ InstInfo analyze(const Inst &inst);
 const char *mnemonic(Op op);
 
 /** Looks up an operation by mnemonic; nullopt when unknown. */
-std::optional<Op> opFromMnemonic(const std::string &name);
+std::optional<Op> opFromMnemonic(std::string_view name);
 
 /** Conventional name of integer register @p index ("$sp", "$t0", ...). */
 const char *gprName(unsigned index);

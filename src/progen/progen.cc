@@ -74,7 +74,7 @@ class SourceBuilder
     }
 
     /** A scratch integer register from the chunk working set. */
-    std::string
+    const char *
     tmp()
     {
         static const char *regs[] = {"$t0", "$t1", "$t2", "$t3",
@@ -83,7 +83,7 @@ class SourceBuilder
     }
 
     /** A "live-ish" source: mostly temps, sometimes args/saved. */
-    std::string
+    const char *
     src()
     {
         static const char *regs[] = {"$t0", "$t1", "$t2", "$t3", "$t4",
@@ -92,10 +92,12 @@ class SourceBuilder
         return regs[rng_.below(12)];
     }
 
-    std::string
+    const char *
     fpreg()
     {
-        return strfmt("$f%u", 2 + static_cast<unsigned>(rng_.below(8)));
+        static const char *regs[] = {"$f2", "$f3", "$f4", "$f5",
+                                     "$f6", "$f7", "$f8", "$f9"};
+        return regs[rng_.below(8)];
     }
 
     /** A realistic small immediate (stack offsets, strides, masks). */
@@ -109,6 +111,80 @@ class SourceBuilder
         static const s32 common[] = {0, 1, 2, 3, 4, 8, 12, 16, 24, 32,
                                      -1, -4, 255, 1024};
         return common[rng_.below(sizeof(common) / sizeof(common[0]))];
+    }
+
+    // ------------------------------------------------------ instructions
+    //
+    // Each emitter draws an instruction's operands into locals, last
+    // operand first. That is the order the calibrated programs were
+    // generated in, and spelling it out keeps the output independent of
+    // the compiler's argument evaluation order.
+
+    /** "op rd, rs, rt" with a scratch rd and two sources. */
+    void
+    alu3(const char *op)
+    {
+        const char *rt = src();
+        const char *rs = src();
+        const char *rd = tmp();
+        line(strfmt("%s %s, %s, %s", op, rd, rs, rt));
+    }
+
+    /** "op rt, rs, imm" with a scratch rt and a small immediate. */
+    void
+    aluImm(const char *op)
+    {
+        s32 imm = smallImm();
+        const char *rs = src();
+        const char *rt = tmp();
+        line(strfmt("%s %s, %s, %d", op, rt, rs, imm));
+    }
+
+    /** "op rd, rt, sa" with a shift amount in 1..@p max_sa. */
+    void
+    shift(const char *op, u32 max_sa)
+    {
+        unsigned sa = 1 + static_cast<unsigned>(rng_.below(max_sa));
+        const char *rt = src();
+        const char *rd = tmp();
+        line(strfmt("%s %s, %s, %u", op, rd, rt, sa));
+    }
+
+    /** A load of a random word of the array $t8 points at. */
+    void
+    loadWord()
+    {
+        u32 off = wordOff();
+        const char *rt = tmp();
+        line(strfmt("lw %s, %u($t8)", rt, off));
+    }
+
+    /** A store to a random word of the array $t8 points at. */
+    void
+    storeWord()
+    {
+        u32 off = wordOff();
+        const char *rt = src();
+        line(strfmt("sw %s, %u($t8)", rt, off));
+    }
+
+    /** "op fd, fs, ft" over random FP registers. */
+    void
+    fp3(const char *op)
+    {
+        const char *ft = fpreg();
+        const char *fs = fpreg();
+        const char *fd = fpreg();
+        line(strfmt("%s %s, %s, %s", op, fd, fs, ft));
+    }
+
+    /** An FP load or store of a random word of farr ($t9). */
+    void
+    fpMem(const char *op)
+    {
+        u32 off = 4 * static_cast<u32>(rng_.below(64));
+        const char *ft = fpreg();
+        line(strfmt("%s %s, %u($t9)", op, ft, off));
     }
 
     // ------------------------------------------------------------- data
@@ -172,21 +248,10 @@ class SourceBuilder
         u32 n = 4 + static_cast<u32>(rng_.below(6));
         for (u32 i = 0; i < n; ++i) {
             switch (rng_.below(4)) {
-              case 0:
-                line(strfmt("xor %s, %s, %s", tmp().c_str(), src().c_str(),
-                            src().c_str()));
-                break;
-              case 1:
-                line(strfmt("addiu %s, %s, %d", tmp().c_str(), src().c_str(),
-                            smallImm()));
-                break;
-              case 2:
-                line(strfmt("lw %s, %u($t8)", tmp().c_str(), wordOff()));
-                break;
-              default:
-                line(strfmt("srl %s, %s, %u", tmp().c_str(), src().c_str(),
-                            1 + static_cast<unsigned>(rng_.below(8))));
-                break;
+              case 0: alu3("xor"); break;
+              case 1: aluImm("addiu"); break;
+              case 2: loadWord(); break;
+              default: shift("srl", 8); break;
             }
         }
         line(strfmt("sw $t0, %u($t8)", wordOff()));
@@ -218,44 +283,27 @@ class SourceBuilder
                                     4 + static_cast<u32>(rng_.below(6)));
             for (u32 i = 0; i < run; ++i) {
                 switch (rng_.below(5)) {
-                  case 0:
-                    line(strfmt("lw %s, %u($t8)", tmp().c_str(),
-                                wordOff()));
-                    break;
-                  case 1:
-                    line(strfmt("sw %s, %u($t8)", src().c_str(),
-                                wordOff()));
-                    break;
-                  case 2:
-                    line(strfmt("addiu %s, %s, %d", tmp().c_str(),
-                                src().c_str(), smallImm()));
-                    break;
-                  case 3:
-                    line(strfmt("xor %s, %s, %s", tmp().c_str(),
-                                src().c_str(), src().c_str()));
-                    break;
-                  default:
-                    line(strfmt("sll %s, %s, %u", tmp().c_str(),
-                                src().c_str(),
-                                1 + static_cast<unsigned>(rng_.below(6))));
-                    break;
+                  case 0: loadWord(); break;
+                  case 1: storeWord(); break;
+                  case 2: aluImm("addiu"); break;
+                  case 3: alu3("xor"); break;
+                  default: shift("sll", 6); break;
                 }
             }
             remaining -= run;
             if (remaining > 4) {
                 // A short forward skip keeps the sub branchy.
                 std::string l = strfmt("sub%u_d%u", s, diamond++);
-                line(strfmt("srl $t6, %s, %u", src().c_str(),
-                            static_cast<unsigned>(rng_.below(8))));
+                unsigned bit = static_cast<unsigned>(rng_.below(8));
+                const char *rt = src();
+                line(strfmt("srl $t6, %s, %u", rt, bit));
                 line("andi $t6, $t6, 1");
                 line(strfmt("beqz $t6, %s", l.c_str()));
                 u32 skip = std::min<u32>(remaining - 2,
                                          2 + static_cast<u32>(
                                                  rng_.below(4)));
-                for (u32 i = 0; i < skip; ++i) {
-                    line(strfmt("addu %s, %s, %s", tmp().c_str(),
-                                src().c_str(), src().c_str()));
-                }
+                for (u32 i = 0; i < skip; ++i)
+                    alu3("addu");
                 label(l);
                 remaining -= skip;
             }
@@ -337,52 +385,21 @@ class SourceBuilder
     {
         for (u32 i = 0; i < p_.chunkInsns; ++i) {
             switch (rng_.below(10)) {
-              case 0:
-                line(strfmt("addu %s, %s, %s", tmp().c_str(), src().c_str(),
-                            src().c_str()));
-                break;
-              case 1:
-                line(strfmt("subu %s, %s, %s", tmp().c_str(), src().c_str(),
-                            src().c_str()));
-                break;
-              case 2:
-                line(strfmt("xor %s, %s, %s", tmp().c_str(), src().c_str(),
-                            src().c_str()));
-                break;
-              case 3:
-                line(strfmt("and %s, %s, %s", tmp().c_str(), src().c_str(),
-                            src().c_str()));
-                break;
-              case 4:
-                line(strfmt("or %s, %s, %s", tmp().c_str(), src().c_str(),
-                            src().c_str()));
-                break;
-              case 5:
-                line(strfmt("addiu %s, %s, %d", tmp().c_str(), src().c_str(),
-                            smallImm()));
-                break;
-              case 6:
-                line(strfmt("sll %s, %s, %u", tmp().c_str(), src().c_str(),
-                            1 + static_cast<unsigned>(rng_.below(8))));
-                break;
-              case 7:
-                line(strfmt("slti %s, %s, %d", tmp().c_str(), src().c_str(),
-                            smallImm()));
-                break;
+              case 0: alu3("addu"); break;
+              case 1: alu3("subu"); break;
+              case 2: alu3("xor"); break;
+              case 3: alu3("and"); break;
+              case 4: alu3("or"); break;
+              case 5: aluImm("addiu"); break;
+              case 6: shift("sll", 8); break;
+              case 7: aluImm("slti"); break;
               case 8:
-                if (rng_.chancePercent(25)) {
-                    line(strfmt("mul %s, %s, %s", tmp().c_str(),
-                                src().c_str(), src().c_str()));
-                } else {
-                    line(strfmt("sra %s, %s, %u", tmp().c_str(),
-                                src().c_str(),
-                                1 + static_cast<unsigned>(rng_.below(8))));
-                }
+                if (rng_.chancePercent(25))
+                    alu3("mul");
+                else
+                    shift("sra", 8);
                 break;
-              default:
-                line(strfmt("ori %s, %s, %d", tmp().c_str(), src().c_str(),
-                            smallImm()));
-                break;
+              default: aluImm("ori"); break;
             }
         }
     }
@@ -394,28 +411,23 @@ class SourceBuilder
                     arr(static_cast<u32>(rng_.next())).c_str()));
         for (u32 i = 0; i < p_.chunkInsns; ++i) {
             switch (rng_.below(8)) {
-              case 0: case 1: case 2:
-                line(strfmt("lw %s, %u($t8)", tmp().c_str(), wordOff()));
+              case 0: case 1: case 2: loadWord(); break;
+              case 3: storeWord(); break;
+              case 4: {
+                u32 off = wordOff();
+                off += static_cast<u32>(rng_.below(4));
+                const char *rt = tmp();
+                line(strfmt("lbu %s, %u($t8)", rt, off));
                 break;
-              case 3:
-                line(strfmt("sw %s, %u($t8)", src().c_str(), wordOff()));
+              }
+              case 5: {
+                u32 off = 4 * static_cast<u32>(rng_.below(5)); // 0..16
+                const char *rt = tmp();
+                line(strfmt("lw %s, %u($sp)", rt, off));
                 break;
-              case 4:
-                line(strfmt("lbu %s, %u($t8)", tmp().c_str(),
-                            wordOff() + static_cast<u32>(rng_.below(4))));
-                break;
-              case 5:
-                line(strfmt("lw %s, %u($sp)", tmp().c_str(),
-                            4 * static_cast<u32>(rng_.below(5)))); // 0..16
-                break;
-              case 6:
-                line(strfmt("addiu %s, %s, %d", tmp().c_str(), src().c_str(),
-                            smallImm()));
-                break;
-              default:
-                line(strfmt("addu %s, %s, %s", tmp().c_str(), src().c_str(),
-                            src().c_str()));
-                break;
+              }
+              case 6: aluImm("addiu"); break;
+              default: alu3("addu"); break;
             }
         }
     }
@@ -431,63 +443,46 @@ class SourceBuilder
         // the rest test pseudo-random data (hard to predict) — real
         // integer code shows a similar mix.
         unsigned bit = static_cast<unsigned>(rng_.below(6));
-        std::string subject =
-            rng_.chancePercent(50) ? std::string("$s1") : src();
-        line(strfmt("srl $t6, %s, %u", subject.c_str(), bit));
+        const char *subject = rng_.chancePercent(50) ? "$s1" : src();
+        line(strfmt("srl $t6, %s, %u", subject, bit));
         line("andi $t6, $t6, 1");
         line(strfmt("beqz $t6, %s", la.c_str()));
         u32 then_n = 2 + static_cast<u32>(rng_.below(4));
-        for (u32 i = 0; i < then_n; ++i) {
-            line(strfmt("addiu %s, %s, %d", tmp().c_str(), src().c_str(),
-                        smallImm()));
-        }
+        for (u32 i = 0; i < then_n; ++i)
+            aluImm("addiu");
         line(strfmt("b %s", lb.c_str()));
         label(la);
         u32 else_n = 2 + static_cast<u32>(rng_.below(4));
-        for (u32 i = 0; i < else_n; ++i) {
-            line(strfmt("xor %s, %s, %s", tmp().c_str(), src().c_str(),
-                        src().c_str()));
-        }
+        for (u32 i = 0; i < else_n; ++i)
+            alu3("xor");
         label(lb);
         // Pad with straight-line work so chunks stay comparable in size.
         u32 rest = p_.chunkInsns > (then_n + 6) ? p_.chunkInsns - then_n - 6
                                                 : 2;
-        for (u32 i = 0; i < rest; ++i) {
-            line(strfmt("addu %s, %s, %s", tmp().c_str(), src().c_str(),
-                        src().c_str()));
-        }
+        for (u32 i = 0; i < rest; ++i)
+            alu3("addu");
     }
 
     void
     emitFpChunk()
     {
         line("la $t9, farr");
-        line(strfmt("lwc1 %s, %u($t9)", fpreg().c_str(),
-                    4 * static_cast<u32>(rng_.below(64))));
-        line(strfmt("lwc1 %s, %u($t9)", fpreg().c_str(),
-                    4 * static_cast<u32>(rng_.below(64))));
+        fpMem("lwc1");
+        fpMem("lwc1");
         for (u32 i = 0; i + 4 < p_.chunkInsns; ++i) {
             switch (rng_.below(4)) {
-              case 0:
-                line(strfmt("add.s %s, %s, %s", fpreg().c_str(),
-                            fpreg().c_str(), fpreg().c_str()));
+              case 0: fp3("add.s"); break;
+              case 1: fp3("mul.s"); break;
+              case 2: fp3("sub.s"); break;
+              default: {
+                const char *fs = fpreg();
+                const char *fd = fpreg();
+                line(strfmt("mov.s %s, %s", fd, fs));
                 break;
-              case 1:
-                line(strfmt("mul.s %s, %s, %s", fpreg().c_str(),
-                            fpreg().c_str(), fpreg().c_str()));
-                break;
-              case 2:
-                line(strfmt("sub.s %s, %s, %s", fpreg().c_str(),
-                            fpreg().c_str(), fpreg().c_str()));
-                break;
-              default:
-                line(strfmt("mov.s %s, %s", fpreg().c_str(),
-                            fpreg().c_str()));
-                break;
+              }
             }
         }
-        line(strfmt("swc1 %s, %u($t9)", fpreg().c_str(),
-                    4 * static_cast<u32>(rng_.below(64))));
+        fpMem("swc1");
     }
 
     const BenchmarkProfile &p_;

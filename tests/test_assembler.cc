@@ -315,5 +315,71 @@ TEST(AssemblerErrors, UnknownDirective)
     EXPECT_NE(errs[0].find("unknown directive"), std::string::npos);
 }
 
+TEST(AssemblerErrors, MessagesAndOrderArePinned)
+{
+    // Pass 1 reports in source order, a line's labels before its
+    // statement. Pass 2 runs only when pass 1 found nothing.
+    EXPECT_EQ(errorsOf("x: nop\n"
+                       "x: addu $t0, $t1\n"
+                       ".frob\n"
+                       "frobnicate $t0\n"
+                       "li $t0, sym\n"
+                       "lw $t0, 4($nope)\n"
+                       "lw $t0, x($sp)\n"
+                       "addu $t0, ?, $t1\n"
+                       ".align 13\n"
+                       ".asciiz hi\n"
+                       "j nowhere\n"),
+              (std::vector<std::string>{
+                  "line 2: duplicate label 'x'",
+                  "line 2: bad operands for 'addu'",
+                  "line 3: unknown directive '.frob'",
+                  "line 4: unknown mnemonic 'frobnicate'",
+                  "line 5: li needs register, constant",
+                  "line 6: bad base register in '4($nope)'",
+                  "line 7: bad offset in 'x($sp)'",
+                  "line 8: cannot parse operand '?'",
+                  "line 9: .align needs an exponent 0..12",
+                  "line 10: .asciiz needs a quoted string",
+              }));
+    EXPECT_EQ(errorsOf("j nowhere\n"
+                       "b odd\n"
+                       "beqz $t0, far\n"
+                       ".space 200000\n"
+                       "far: .word missing\n"
+                       ".byte 1\n"
+                       "odd: nop\n"),
+              (std::vector<std::string>{
+                  "line 1: undefined symbol 'nowhere'",
+                  "line 2: branch target not word aligned",
+                  "line 3: branch target out of range",
+                  "line 5: undefined symbol 'missing'",
+              }));
+}
+
+TEST(AssemblerErrors, TextMayNotRunIntoData)
+{
+    // .text ends at kDataBase: a word or .space past it would alias
+    // the data segment.
+    EXPECT_EQ(errorsOf(".space 0x10000000\n"),
+              (std::vector<std::string>{
+                  "line 1: .text would run past 0x10000000"}));
+    EXPECT_EQ(errorsOf("nop\n.space 0x0ffefffc\nnop\n"),
+              (std::vector<std::string>{
+                  "line 3: .text would run past 0x10000000"}));
+}
+
+TEST(AssemblerErrors, DataMayNotRunPastStackTop)
+{
+    // A 32-bit location counter would otherwise wrap, so that later
+    // labels alias low addresses.
+    EXPECT_EQ(errorsOf(".data\nbig: .space 0x100000000\nafter: .word 1\n"),
+              (std::vector<std::string>{
+                  "line 2: .data would run past 0x7ffffff0"}));
+    EXPECT_EQ(errorsOf(".data\n.space 0x6fffffe1\n.align 5\n"),
+              (std::vector<std::string>{
+                  "line 3: .data would run past 0x7ffffff0"}));
+}
+
 } // namespace
 } // namespace cps

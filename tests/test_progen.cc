@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "asmkit/assembler.hh"
 #include "codepack/decompressor.hh"
 #include "progen/progen.hh"
 #include "sim/machine.hh"
@@ -49,6 +50,84 @@ TEST(Progen, SeedChangesTheProgram)
 
 class ProfileTest : public ::testing::TestWithParam<const char *>
 {};
+
+/** Order-sensitive 64-bit FNV-1a digest. */
+struct Digest
+{
+    u64 h = 0xcbf29ce484222325ULL;
+
+    void
+    byte(u8 b)
+    {
+        h = (h ^ b) * 0x100000001b3ULL;
+    }
+
+    void
+    number(u64 v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<u8>(v >> (8 * i)));
+    }
+
+    template <typename Bytes>
+    void
+    bytes(const Bytes &seq)
+    {
+        number(seq.size());
+        for (auto b : seq)
+            byte(static_cast<u8>(b));
+    }
+};
+
+TEST_P(ProfileTest, GeneratedBytesArePinned)
+{
+    // Digests of each calibrated profile's generated source and of the
+    // program it assembles to: text and data bytes, symbols and entry.
+    // They pin the generator's draw order and the assembler's output.
+    struct Pin
+    {
+        const char *name;
+        u64 source;
+        u64 program;
+    };
+    static const Pin pins[] = {
+        {"cc1", 0x432cad0d46541ccfULL, 0x39f37138f2b55b91ULL},
+        {"go", 0xc471bbba90dcfb0dULL, 0x3b0c4653052fcfcfULL},
+        {"mpeg2enc", 0x199140064fa644e8ULL, 0x3041eaaaaa1fa6a5ULL},
+        {"pegwit", 0x1c2b4605d57b5a77ULL, 0x89f04c9043c8d78dULL},
+        {"perl", 0xb71e6828c29b76b6ULL, 0x317d28a431410096ULL},
+        {"vortex", 0xb2c1d0d63a340923ULL, 0xeda271f2e0cac661ULL},
+    };
+    const std::string name = GetParam();
+    const std::string source = generateSource(findProfile(name));
+    Digest src;
+    src.bytes(source);
+    AsmResult res = assembleSource(source);
+    ASSERT_TRUE(res.ok());
+    const Program &prog = res.program;
+    Digest bin;
+    bin.number(prog.text.base);
+    bin.bytes(prog.text.bytes);
+    bin.number(prog.data.base);
+    bin.bytes(prog.data.bytes);
+    for (const auto &[sym, addr] : prog.symbols) {
+        bin.bytes(sym);
+        bin.number(addr);
+    }
+    bin.number(prog.entry);
+    for (const Pin &pin : pins) {
+        if (name != pin.name)
+            continue;
+        EXPECT_EQ(src.h, pin.source)
+            << strfmt("source digest 0x%016llx",
+                      static_cast<unsigned long long>(src.h));
+        EXPECT_EQ(bin.h, pin.program)
+            << strfmt("program digest 0x%016llx",
+                      static_cast<unsigned long long>(bin.h));
+        return;
+    }
+    ADD_FAILURE() << "no pin for " << name;
+}
 
 TEST_P(ProfileTest, AssemblesCleanly)
 {
