@@ -9,9 +9,9 @@
  *     --report           print the Table 3/4 style report (default)
  *     --no-raw-blocks    disable the raw-block escape
  *     --disasm <n>       disassemble the first n instructions
- *     --ecc <kind>       per-block soft-error protection: off, crc8,
- *                        crc16, secded (default from CPS_ECC, else off;
- *                        protected images write `.cpi` version 3)
+ *     --ecc <kind>       per-block soft-error protection: off (default),
+ *                        crc8, crc16, secded (protected images write
+ *                        `.cpi` version 3)
  *
  * Inputs: an assembly file, a saved program object, or '@name' for one
  * of the built-in benchmark profiles (e.g. @go).
@@ -101,7 +101,7 @@ main(int argc, char **argv)
     std::string obj_out, img_out;
     bool raw_blocks = true;
     unsigned disasm_count = 0;
-    ProtectKind protect = defaultProtectKind();
+    ProtectKind protect = ProtectKind::None;
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "-o" && i + 1 < argc)

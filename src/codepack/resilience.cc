@@ -1,6 +1,5 @@
 #include "resilience.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -29,20 +28,6 @@ fetchCheckName(FetchCheck check)
 namespace
 {
 
-unsigned
-envUnsigned(const char *name, unsigned dflt, const char *expected)
-{
-    const char *env = std::getenv(name);
-    if (!env)
-        return dflt;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end && *end == '\0' && v <= 1000000)
-        return static_cast<unsigned>(v);
-    envWarnOnce(name, env, expected);
-    return dflt;
-}
-
 FetchCheck
 worse(FetchCheck a, FetchCheck b)
 {
@@ -50,20 +35,6 @@ worse(FetchCheck a, FetchCheck b)
 }
 
 } // namespace
-
-unsigned
-defaultEccRetries()
-{
-    return envUnsigned("CPS_ECC_RETRIES", 2,
-                       "an unsigned integer (refetch budget)");
-}
-
-unsigned
-defaultFlipRatePpm()
-{
-    return envUnsigned("CPS_FLIP_RATE", 0,
-                       "flips per million fetches, 0..1000000");
-}
 
 SoftErrorDomain::SoftErrorDomain(CompressedImage &mem, u64 seed,
                                  unsigned flip_rate_ppm,

@@ -50,20 +50,6 @@ enum class FetchCheck : u8
 /** Stable knob/report spelling ("clean"/"corrected"/...). */
 const char *fetchCheckName(FetchCheck check);
 
-/**
- * Refetch budget before a detected error is declared unrecoverable:
- * CPS_ECC_RETRIES when set to an unsigned integer (0 disables
- * refetching entirely), otherwise 2. Read afresh per call.
- */
-unsigned defaultEccRetries();
-
-/**
- * Background flip rate in flips per million verified fetches:
- * CPS_FLIP_RATE when set (an unsigned integer), otherwise 0. Read
- * afresh per call.
- */
-unsigned defaultFlipRatePpm();
-
 class SoftErrorDomain
 {
   public:
@@ -84,11 +70,14 @@ class SoftErrorDomain
      *        (protectImage) for verification to detect anything, and
      *        must outlive the domain. A pristine backing copy of the
      *        stream and index table is taken here.
+     * @param seed seeds the background flip injector
+     * @param flip_rate_ppm background flips injected per million
+     *        verified fetches (0 = none)
+     * @param max_retries refetch budget before a detected error is
+     *        declared unrecoverable (0 disables refetching)
      */
-    explicit SoftErrorDomain(CompressedImage &mem,
-                             u64 seed = 0x50f7e220ull,
-                             unsigned flip_rate_ppm = defaultFlipRatePpm(),
-                             unsigned max_retries = defaultEccRetries());
+    SoftErrorDomain(CompressedImage &mem, u64 seed, unsigned flip_rate_ppm,
+                    unsigned max_retries);
 
     /** The working image (injectors flip bits here). */
     CompressedImage &memory() { return mem_; }

@@ -1,9 +1,6 @@
 #include "ecc.hh"
 
-#include <cstdlib>
 #include <cstring>
-
-#include "logging.hh"
 
 namespace cps
 {
@@ -108,19 +105,6 @@ parseProtectKind(const char *name, ProtectKind &out)
         return true;
     }
     return false;
-}
-
-ProtectKind
-defaultProtectKind()
-{
-    const char *env = std::getenv("CPS_ECC");
-    if (!env || !*env)
-        return ProtectKind::None;
-    ProtectKind kind;
-    if (parseProtectKind(env, kind))
-        return kind;
-    envWarnOnce("CPS_ECC", env, "off|crc8|crc16|secded");
-    return ProtectKind::None;
 }
 
 u8

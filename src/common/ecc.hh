@@ -43,13 +43,6 @@ const char *protectKindName(ProtectKind kind);
 /** Parses a knob spelling; returns false on an unknown value. */
 bool parseProtectKind(const char *name, ProtectKind &out);
 
-/**
- * The CPS_ECC environment knob (off|crc8|crc16|secded), read afresh on
- * every call so tests can flip it between constructions; unset or
- * malformed values mean None (malformed warns once per process).
- */
-ProtectKind defaultProtectKind();
-
 namespace detail
 {
 

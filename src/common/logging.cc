@@ -30,6 +30,22 @@ writeLine(const std::string &line)
     std::fputs(line.c_str(), stderr);
 }
 
+/**
+ * Parses @p s as one whole unsigned number. strtoull alone skips leading
+ * blanks, negates a minus sign modulo 2^64, and stops quietly at the
+ * first non-digit: insist on a digit first and nothing after the number.
+ */
+bool
+parseWholeUnsigned(const char *s, int base, unsigned long long &v)
+{
+    if (!std::isdigit(static_cast<unsigned char>(s[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    v = std::strtoull(s, &end, base);
+    return *end == '\0' && errno != ERANGE;
+}
+
 } // namespace
 
 std::string
@@ -124,22 +140,29 @@ envWarnOnce(const char *name, const char *value, const char *expected)
 }
 
 u64
+envUnsigned(const char *name, u64 fallback, u64 min, u64 max)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return fallback;
+    unsigned long long v = 0;
+    if (parseWholeUnsigned(env, 10, v) && v >= min && v <= max)
+        return static_cast<u64>(v);
+    envWarnOnce(name, env,
+                strfmt("a whole number in [%llu, %llu]",
+                       static_cast<unsigned long long>(min),
+                       static_cast<unsigned long long>(max))
+                    .c_str());
+    return fallback;
+}
+
+u64
 parseUnsignedOption(const char *option, const std::string &value, u64 min,
                     u64 max, int base)
 {
-    // strtoull alone skips leading blanks, negates a minus sign modulo
-    // 2^64, and stops quietly at the first non-digit: insist on a digit
-    // first and nothing after the number.
     const char *s = value.c_str();
-    char *end = nullptr;
-    errno = 0;
     unsigned long long v = 0;
-    bool ok = std::isdigit(static_cast<unsigned char>(s[0]));
-    if (ok) {
-        v = std::strtoull(s, &end, base);
-        ok = *end == '\0' && errno != ERANGE;
-    }
-    if (!ok)
+    if (!parseWholeUnsigned(s, base, v))
         cps_fatal("option '%s' wants a whole unsigned number, got '%s'",
                   option, s);
     if (v < min || v > max)

@@ -53,6 +53,16 @@ void envWarnOnce(const char *name, const char *value,
                  const char *expected);
 
 /**
+ * The numeric environment knob @p name as a whole unsigned number in
+ * [@p min, @p max], by parseUnsignedOption's rule (decimal digits only).
+ * Unset means @p fallback. Anything else — empty, signed, trailing
+ * garbage, out of range — warns once (envWarnOnce) and also means
+ * @p fallback: a bad knob never aborts a run and never reads as some
+ * other number. Read afresh on every call.
+ */
+u64 envUnsigned(const char *name, u64 fallback, u64 min, u64 max);
+
+/**
  * The value of command-line option @p option as a whole unsigned number
  * in [@p min, @p max]: decimal digits only, or with @p base 0 also
  * strtoull's 0x-hex and 0-octal forms. Anything else — empty, signed,

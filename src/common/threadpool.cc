@@ -1,7 +1,6 @@
 #include "threadpool.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 
 #include "logging.hh"
@@ -12,15 +11,9 @@ namespace cps
 unsigned
 defaultThreadCount()
 {
-    if (const char *env = std::getenv("CPS_THREADS")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end && *end == '\0' && v > 0 && v <= 1024)
-            return static_cast<unsigned>(v);
-        envWarnOnce("CPS_THREADS", env, "an integer in [1, 1024]");
-    }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return static_cast<unsigned>(
+        envUnsigned("CPS_THREADS", hw > 0 ? hw : 1, 1, 1024));
 }
 
 ThreadPool::ThreadPool(unsigned threads)

@@ -69,8 +69,7 @@ runProcessCampaign(const BenchProgram &bench, const MachineConfig &cfg,
     CellRunnerConfig inline_cfg;
     CellRunner baseline_runner(inline_cfg);
 
-    RunRequest healthy{&bench, cfg, ccfg.insns, ReplayMode::Auto,
-                       CellFault::None};
+    RunRequest healthy{&bench, cfg, ccfg.insns, CellFault::None};
     CellOutcome baseline = baseline_runner.run(healthy);
     cps_assert(baseline.status.ok(),
                "process campaign baseline cell failed: %s",

@@ -92,7 +92,7 @@ doubleOfBits(u64 bits)
 RunOutcome
 executeCell(const RunRequest &req)
 {
-    return runMachine(*req.bench, req.cfg, req.maxInsns, req.mode);
+    return runMachine(*req.bench, req.cfg, req.maxInsns);
 }
 
 /** Dies by SIGABRT with the default disposition restored: a
@@ -270,27 +270,14 @@ CellRunnerConfig::fromEnv()
 {
     static const CellRunnerConfig cached = [] {
         CellRunnerConfig cfg;
-        auto readUnsigned = [](const char *name, unsigned long long max,
-                               unsigned long long fallback) {
-            const char *env = std::getenv(name);
-            if (!env)
-                return fallback;
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 10);
-            if (!end || *end != '\0' || v > max) {
-                envWarnOnce(name, env, "an unsigned integer");
-                return fallback;
-            }
-            return v;
-        };
         if (const char *env = std::getenv("CPS_ISOLATE"))
             cfg.isolate = std::string(env) != "0";
         cfg.timeoutMs = static_cast<long>(
-            readUnsigned("CPS_CELL_TIMEOUT_MS", 1ull << 40, 0));
+            envUnsigned("CPS_CELL_TIMEOUT_MS", 0, 0, 1ull << 40));
         cfg.retries = static_cast<unsigned>(
-            readUnsigned("CPS_CELL_RETRIES", 100, 1));
+            envUnsigned("CPS_CELL_RETRIES", 1, 0, 100));
         cfg.backoffMs = static_cast<unsigned>(
-            readUnsigned("CPS_CELL_BACKOFF_MS", 1ull << 20, 100));
+            envUnsigned("CPS_CELL_BACKOFF_MS", 100, 0, 1ull << 20));
         return cfg;
     }();
     return cached;
@@ -365,13 +352,12 @@ cellKey(const RunRequest &req)
     // the soft-error domain pointer — a run with live fault injection
     // is not cacheable and must bypass the journal.
     std::string key = strfmt(
-        "cell3;insns=%llu;mode=%u;machine=%s;"
+        "cell4;insns=%llu;machine=%s;"
         "pipe=%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u;"
         "ic=%u,%u,%u,%u;dc=%u,%u,%u,%u;mem=%u,%llu,%llu;model=%u;"
         "decomp=%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u;"
         "sw=%llu,%llu,%llu,%llu,%u,%u;",
-        static_cast<unsigned long long>(req.maxInsns),
-        static_cast<unsigned>(req.mode), c.name.c_str(),
+        static_cast<unsigned long long>(req.maxInsns), c.name.c_str(),
         p.inOrder ? 1u : 0u, p.width, p.fetchQueue, p.ruuSize, p.lsqSize,
         p.numAlu, p.numMult, p.numMemPorts, p.numFpAlu, p.numFpMult,
         static_cast<unsigned>(p.predictor), p.mispredictExtra,

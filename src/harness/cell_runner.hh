@@ -63,7 +63,6 @@ struct RunRequest
     const BenchProgram *bench = nullptr; ///< must outlive the run
     MachineConfig cfg;
     u64 maxInsns = 0;
-    ReplayMode mode = ReplayMode::Auto; ///< trace replay vs live core
     CellFault injectFault = CellFault::None;
     u32 faultDelayMs = 0; ///< SlowResult's sleep before executing
 };
@@ -159,7 +158,7 @@ Result<RunOutcome> decodeRunOutcomeChecked(const std::vector<u8> &bytes);
 /**
  * Cache-style key of one cell: every input the outcome is a function
  * of — the benchmark's full program key, every MachineConfig field,
- * the instruction budget and replay mode — plus an engine version tag,
+ * the instruction budget — plus an engine version tag,
  * so any code or config change invalidates journal entries by
  * construction.
  */

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <unistd.h>
 
@@ -25,15 +24,11 @@ namespace
  * a campaign short. Used by the interrupted/resumed determinism test;
  * unset (the default) in real runs.
  */
-long
+u64
 testExitAfterCells()
 {
-    static const long cached = [] {
-        const char *env = std::getenv("CPS_TEST_EXIT_AFTER_CELLS");
-        if (!env)
-            return -1L;
-        return std::atol(env);
-    }();
+    static const u64 cached =
+        envUnsigned("CPS_TEST_EXIT_AFTER_CELLS", 0, 1, u64{1} << 40);
     return cached;
 }
 
@@ -45,7 +40,7 @@ std::vector<CellOutcome>
 runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
 {
     for (const RunRequest &r : requests)
-        cps_assert(r.bench != nullptr, "runMatrix request without bench");
+        cps_assert(r.bench != nullptr, "matrix request without bench");
 
     std::vector<CellOutcome> cells(requests.size());
     if (requests.empty())
@@ -71,8 +66,8 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
         }
     }
 
-    std::atomic<long> completed{0};
-    const long exit_after = testExitAfterCells();
+    std::atomic<u64> completed{0};
+    const u64 exit_after = testExitAfterCells();
 
     auto runCell = [&](size_t i) {
         if (cells[i].status.fromJournal)
@@ -80,7 +75,7 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
         cells[i] = runner.run(requests[i]);
         if (journal && cells[i].status.ok())
             journal->append(i, cellKey(requests[i]), cells[i].outcome);
-        if (exit_after >= 0 &&
+        if (exit_after > 0 &&
             completed.fetch_add(1, std::memory_order_relaxed) + 1 >=
                 exit_after) {
             // Simulated kill: no flushing, no destructors — the journal
@@ -107,16 +102,6 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
             journal->compact(requests);
     }
     return cells;
-}
-
-std::vector<RunOutcome>
-runMatrix(const std::vector<RunRequest> &requests, unsigned threads)
-{
-    std::vector<CellOutcome> cells = runMatrixCells(requests, threads);
-    std::vector<RunOutcome> outcomes(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i)
-        outcomes[i] = std::move(cells[i].outcome);
-    return outcomes;
 }
 
 int

@@ -50,19 +50,6 @@ runMatrixCells(const std::vector<RunRequest> &requests,
                unsigned threads = 0);
 
 /**
- * Compatibility shape of runMatrixCells: outcomes only. A failed
- * cell's outcome is zero-valued — callers that need to distinguish use
- * runMatrixCells (or Matrix).
- */
-std::vector<RunOutcome> runMatrix(const std::vector<RunRequest> &requests,
-                                  unsigned threads = 0);
-
-/**
- * Formats a metric derived from two cells (a speedup numerator and
- * denominator, say), degrading to the first failed cell's
- * FAILED(reason) placeholder when either produced no result.
- */
-/**
  * Formats a metric of one already-fetched cell, degrading to its
  * FAILED(reason) placeholder when the cell produced no result.
  */
@@ -73,6 +60,11 @@ fmtCell(const CellOutcome &c,
     return c.status.ok() ? fmt(c.outcome) : failLabel(c.status);
 }
 
+/**
+ * Formats a metric derived from two cells (a speedup numerator and
+ * denominator, say), degrading to the first failed cell's
+ * FAILED(reason) placeholder when either produced no result.
+ */
 inline std::string
 fmtCells(const CellOutcome &a, const CellOutcome &b,
          const std::function<std::string(const RunOutcome &,

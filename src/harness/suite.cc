@@ -162,38 +162,32 @@ Suite::pregenerate(unsigned threads)
                      [&](size_t i) { get(names_[i]); });
 }
 
+namespace
+{
+
+/** Cap on CPS_INSNS and CPS_TRACE_INSNS: far past any run length this
+ *  simulator is used at, and low enough that traceInsns()'s slack can
+ *  never wrap. */
+constexpr u64 kMaxInsnsKnob = u64{1} << 40;
+
+} // namespace
+
 u64
 Suite::runInsns()
 {
-    static const u64 cached = [] {
-        if (const char *env = std::getenv("CPS_INSNS")) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 10);
-            if (end && *end == '\0' && v > 0)
-                return static_cast<u64>(v);
-            envWarnOnce("CPS_INSNS", env, "a positive integer");
-        }
-        return u64{1000000};
-    }();
+    static const u64 cached =
+        envUnsigned("CPS_INSNS", 1000000, 1, kMaxInsnsKnob);
     return cached;
 }
 
 u64
 Suite::traceInsns()
 {
-    static const u64 cached = [] {
-        if (const char *env = std::getenv("CPS_TRACE_INSNS")) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 10);
-            if (end && *end == '\0')
-                return static_cast<u64>(v);
-            envWarnOnce("CPS_TRACE_INSNS", env, "an unsigned integer");
-        }
-        // Slack past runInsns() so an OoO front end fetching ahead of
-        // its commit budget never outruns a truncated trace (see
-        // replayLookahead; 4096 covers any plausible RUU depth).
-        return runInsns() + 4096;
-    }();
+    // Slack past runInsns() so an OoO front end fetching ahead of its
+    // commit budget never outruns a truncated trace (see
+    // replayLookahead; 4096 covers any plausible RUU depth).
+    static const u64 cached = envUnsigned(
+        "CPS_TRACE_INSNS", runInsns() + 4096, 0, kMaxInsnsKnob);
     return cached;
 }
 
@@ -209,11 +203,10 @@ Suite::replayEnabled()
 
 RunOutcome
 runMachine(const BenchProgram &bench, const MachineConfig &cfg,
-           u64 max_insns, ReplayMode mode)
+           u64 max_insns)
 {
     const TraceBuffer *trace = nullptr;
-    if (mode == ReplayMode::Auto && bench.trace &&
-        bench.trace->covers(max_insns, replayLookahead(cfg)) &&
+    if (bench.trace && bench.trace->covers(max_insns, replayLookahead(cfg)) &&
         Suite::replayEnabled()) {
         trace = bench.trace.get();
     }

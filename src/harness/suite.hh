@@ -65,10 +65,11 @@ class Suite
 
     /**
      * Dynamic instructions per timing run. Defaults to 1,000,000;
-     * override with the CPS_INSNS environment variable, which is read
-     * once (the first call caches the value). (The paper ran >1e9
-     * instructions; our synthetic workloads reach steady state within
-     * well under 1e6 — see DESIGN.md "Substitutions".)
+     * override with the CPS_INSNS environment variable (1 to 2^40),
+     * which is read once (the first call caches the value). (The
+     * paper ran >1e9 instructions; our synthetic workloads reach
+     * steady state within well under 1e6 — see DESIGN.md
+     * "Substitutions".)
      */
     static u64 runInsns();
 
@@ -76,8 +77,8 @@ class Suite
      * Trace-entry cap per benchmark (the trace-replay memory knob, 16
      * bytes per entry). Defaults to runInsns() plus enough slack to
      * cover the deepest OoO fetch-ahead; override with CPS_TRACE_INSNS
-     * (0 disables recording entirely). Runs longer than the recorded
-     * trace fall back to live execution.
+     * (0 to 2^40; 0 disables recording entirely). Runs longer than the
+     * recorded trace fall back to live execution.
      */
     static u64 traceInsns();
 
@@ -142,20 +143,13 @@ struct RunOutcome
     u64 prefetchHits = 0;
 };
 
-/** How runMachine sources the instruction stream. */
-enum class ReplayMode
-{
-    Auto,      ///< replay the recorded trace when it covers the run
-    ForceLive, ///< always re-execute the functional core
-};
-
 /** Builds one machine for @p bench under @p cfg and runs it serially
  *  on the calling thread. With a recorded trace that covers the run
  *  (and replay enabled), the timing models replay it — same tables, one
  *  functional execution total. Parallelism lives a level up: the matrix
  *  engine fans independent cells out across workers. */
 RunOutcome runMachine(const BenchProgram &bench, const MachineConfig &cfg,
-                      u64 max_insns, ReplayMode mode = ReplayMode::Auto);
+                      u64 max_insns);
 
 /** Convenience: cycles(native) / cycles(model) on identical inputs. */
 inline double

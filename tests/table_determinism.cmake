@@ -4,7 +4,7 @@
 # (CPS_ISOLATE=1), and killed mid-matrix then resumed (CPS_RESUME=1) —
 # and fails unless all seven stdouts are byte-identical and the serial
 # one equals the checked-in golden. The legs are the user-visible face
-# of four contracts: runMatrix determinism at any worker count,
+# of four contracts: matrix determinism at any worker count,
 # trace-replay equivalence with live execution, artifact-cache
 # transparency, and resilience transparency (worker isolation and
 # journal replay change how cells execute, never what the table
@@ -99,7 +99,7 @@ unset(ENV{CPS_ISOLATE})
 
 # Interrupted/resumed leg: the first run journals each completed cell
 # (CPS_RESUME=1) and the engine's test hook kills the process from
-# inside runMatrix after 5 newly executed cells (exit 42, no cleanup —
+# inside runMatrixCells after 5 newly executed cells (exit 42, no cleanup —
 # exactly what an external SIGKILL leaves behind). The rerun must
 # replay the journaled cells, execute only the rest, and print the
 # same bytes an uninterrupted run prints.

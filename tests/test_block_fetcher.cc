@@ -312,8 +312,8 @@ TEST(BlockFetcherDomain, UnrecoverableSurfacesStructuredError)
 
 TEST(BlockFetcherDomain, SelfInjectionSoakStaysByteIdentical)
 {
-    // CPS_FLIP_RATE's mechanism at its most hostile setting: a flip
-    // injected on (up to) every fetch, SEC-DED correcting or the
+    // The domain's background flip injector at its most hostile rate:
+    // a flip injected on (up to) every fetch, SEC-DED correcting or the
     // refetch path recovering each one — decode output never changes.
     DomainRig rig("pegwit", ProtectKind::SecDed);
     SoftErrorDomain soak(rig.img, /*seed=*/41,

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the soft-error protection codes (SEC-DED Hamming,
- * CRC-8/16 block checks) and the once-per-process env-knob warning.
+ * CRC-8/16 block checks), the numeric env-knob parser and its
+ * once-per-process warning.
  */
 
 #include <gtest/gtest.h>
@@ -63,30 +64,6 @@ TEST(ProtectKind, NamesRoundTrip)
     EXPECT_FALSE(parseProtectKind("", parsed));
 }
 
-TEST(ProtectKind, DefaultReadsEnvAfresh)
-{
-    {
-        EnvGuard guard("CPS_ECC", nullptr);
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::None);
-    }
-    {
-        EnvGuard guard("CPS_ECC", "secded");
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::SecDed);
-    }
-    {
-        EnvGuard guard("CPS_ECC", "crc16");
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::Crc16);
-    }
-    {
-        // Malformed: warns (once per process) and falls back to None.
-        EnvGuard guard("CPS_ECC", "bogus");
-        unsigned long before = warnCount();
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::None);
-        EXPECT_EQ(defaultProtectKind(), ProtectKind::None);
-        EXPECT_EQ(warnCount(), before + 1);
-    }
-}
-
 TEST(EnvWarnOnce, WarnsOncePerName)
 {
     unsigned long before = warnCount();
@@ -96,6 +73,36 @@ TEST(EnvWarnOnce, WarnsOncePerName)
     EXPECT_EQ(warnCount(), before + 1);
     envWarnOnce("CPS_TEST_KNOB_B", "junk", "an integer");
     EXPECT_EQ(warnCount(), before + 2);
+}
+
+TEST(EnvUnsigned, AcceptsWholeNumbersInRangeOnly)
+{
+    const char *knob = "CPS_TEST_ENV_UNSIGNED";
+    {
+        EnvGuard guard(knob, nullptr);
+        EXPECT_EQ(envUnsigned(knob, 7, 1, 100), 7u);
+    }
+    for (const char *good : {"25", "1", "100"}) {
+        EnvGuard guard(knob, good);
+        EXPECT_EQ(envUnsigned(knob, 7, 1, 100), std::stoull(good));
+    }
+    // A rejected value falls back; it never reads as another number
+    // ("-1" as 2^64-1, "25x" as 25, "" as 0).
+    for (const char *bad : {"-1", "25x", "abc", "", " 25", "+25", "0",
+                            "101", "99999999999999999999999"}) {
+        EnvGuard guard(knob, bad);
+        EXPECT_EQ(envUnsigned(knob, 7, 1, 100), 7u) << "'" << bad << "'";
+    }
+}
+
+TEST(EnvUnsigned, WarnsOnceForARejectedValue)
+{
+    const char *knob = "CPS_TEST_ENV_UNSIGNED_WARN";
+    EnvGuard guard(knob, "-5");
+    unsigned long before = warnCount();
+    EXPECT_EQ(envUnsigned(knob, 3, 0, 10), 3u);
+    EXPECT_EQ(envUnsigned(knob, 3, 0, 10), 3u);
+    EXPECT_EQ(warnCount(), before + 1);
 }
 
 TEST(Crc, KnownVectors)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel experiment engine tests: runMatrix must return outcomes in
+ * Parallel experiment engine tests: runMatrixCells must return outcomes in
  * submission order and bit-identically to the serial path no matter how
  * many workers execute the runs — that is the contract that lets every
  * table binary fan out across cores and still print byte-identical
@@ -42,6 +42,19 @@ smallMatrix()
     return reqs;
 }
 
+/** The outcomes of runMatrixCells, with every cell required to succeed. */
+std::vector<RunOutcome>
+runOutcomes(const std::vector<harness::RunRequest> &reqs, unsigned threads)
+{
+    std::vector<RunOutcome> out;
+    for (const harness::CellOutcome &c :
+         harness::runMatrixCells(reqs, threads)) {
+        EXPECT_TRUE(c.status.ok()) << c.status.describe();
+        out.push_back(c.outcome);
+    }
+    return out;
+}
+
 void
 expectSameOutcomes(const std::vector<RunOutcome> &a,
                    const std::vector<RunOutcome> &b)
@@ -62,16 +75,16 @@ expectSameOutcomes(const std::vector<RunOutcome> &a,
 TEST(RunMatrix, ParallelOutcomesMatchSerialExactly)
 {
     std::vector<harness::RunRequest> reqs = smallMatrix();
-    std::vector<RunOutcome> serial = harness::runMatrix(reqs, 1);
-    std::vector<RunOutcome> parallel = harness::runMatrix(reqs, 8);
+    std::vector<RunOutcome> serial = runOutcomes(reqs, 1);
+    std::vector<RunOutcome> parallel = runOutcomes(reqs, 8);
     expectSameOutcomes(serial, parallel);
 }
 
 TEST(RunMatrix, RepeatedParallelRunsAreDeterministic)
 {
     std::vector<harness::RunRequest> reqs = smallMatrix();
-    std::vector<RunOutcome> first = harness::runMatrix(reqs, 8);
-    std::vector<RunOutcome> second = harness::runMatrix(reqs, 8);
+    std::vector<RunOutcome> first = runOutcomes(reqs, 8);
+    std::vector<RunOutcome> second = runOutcomes(reqs, 8);
     expectSameOutcomes(first, second);
 }
 
@@ -79,7 +92,7 @@ TEST(RunMatrix, RendersByteIdenticalTables)
 {
     std::vector<harness::RunRequest> reqs = smallMatrix();
     auto render = [&](unsigned threads) {
-        std::vector<RunOutcome> out = harness::runMatrix(reqs, threads);
+        std::vector<RunOutcome> out = runOutcomes(reqs, threads);
         TextTable t;
         t.addHeader({"Slot", "Cycles", "IPC", "Miss rate"});
         for (size_t i = 0; i < out.size(); ++i)
@@ -95,7 +108,7 @@ TEST(RunMatrix, RendersByteIdenticalTables)
 TEST(RunMatrix, EmptyMatrixIsFine)
 {
     std::vector<harness::RunRequest> reqs;
-    EXPECT_TRUE(harness::runMatrix(reqs, 4).empty());
+    EXPECT_TRUE(runOutcomes(reqs, 4).empty());
 }
 
 TEST(MatrixHelper, CursorHandsBackSubmissionOrder)

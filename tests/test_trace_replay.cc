@@ -137,10 +137,13 @@ TEST(TraceReplay, TruncatedTraceFallsBackToLiveExecution)
     MachineConfig cfg = baseline4Issue();
     ASSERT_FALSE(clone.trace->covers(kInsns, replayLookahead(cfg)));
     RunOutcome fallback = runMachine(clone, cfg, kInsns);
-    RunOutcome live = runMachine(full, cfg, kInsns, ReplayMode::ForceLive);
-    expectSameRun(fallback.result, live.result, "truncated fallback");
-    EXPECT_EQ(fallback.icacheMisses, live.icacheMisses);
-    EXPECT_EQ(fallback.missLatencyTotal, live.missLatencyTotal);
+    Machine live(full.program, cfg, imageFor(full, cfg));
+    ASSERT_FALSE(live.replaying());
+    RunResult lr = live.run(kInsns);
+    expectSameRun(fallback.result, lr, "truncated fallback");
+    EXPECT_EQ(fallback.icacheMisses, live.stats().value("icache.misses"));
+    EXPECT_EQ(fallback.missLatencyTotal,
+              live.stats().value("icache.miss_latency_total"));
 }
 
 TEST(TraceReplay, ReplaySourceRewindRestartsTheStream)
