@@ -13,11 +13,15 @@
  *
  * If compression itself matters, optimized CodePack should keep an edge
  * over native+prefetch on narrow/slow memory systems even though both
- * now prefetch.
+ * now prefetch. The Reading line says so only when every benchmark
+ * bears it out, and otherwise names the ones that break it.
  */
 
+#include <cmath>
 #include <cstdio>
+#include <string>
 
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "harness/engine.hh"
 
@@ -55,22 +59,46 @@ main()
     auto fmtSpd = [](const RunOutcome &n, const RunOutcome &o) {
         return TextTable::fmt(speedup(n, o), 3);
     };
+    // The claim: optimized CodePack beats native+prefetch at both bus
+    // widths, and by more at 16 b. It is judged on the speedups as
+    // printed, in thousandths, so it cannot contradict the table.
+    auto milli = [](const std::string &shown) {
+        return std::lround(std::stod(shown) * 1000);
+    };
+    std::string breaks;
     for (const std::string &name : suite.names()) {
         std::vector<std::string> row{name};
+        long lead[2] = {}; // CP opt minus native+prefetch
+        bool ok = true;
         for (size_t i = 0; i < 2; ++i) {
             harness::CellOutcome rn = m.nextCell();
             harness::CellOutcome rp = m.nextCell();
             harness::CellOutcome ro = m.nextCell();
             row.push_back(harness::fmtCells(rn, rp, fmtSpd));
             row.push_back(harness::fmtCells(rn, ro, fmtSpd));
+            ok = ok && rn.status.ok() && rp.status.ok() && ro.status.ok();
+            if (ok)
+                lead[i] = milli(row.back()) - milli(row[row.size() - 2]);
         }
         t.addRow(row);
+        // A failed cell leaves nothing to judge; exitSummary() reports it.
+        if (ok && !(lead[0] > 0 && lead[1] > lead[0]))
+            breaks += strfmt("\n  %s: lead %+.3f at 64 b, %+.3f at 16 b",
+                             name.c_str(), lead[0] / 1000.0,
+                             lead[1] / 1000.0);
     }
     t.print();
 
-    std::printf("\nReading: where native+prefetch matches optimized "
-                "CodePack, the win was\nprefetching; where CodePack "
-                "stays ahead (narrow buses), compression's\nbandwidth "
-                "advantage is doing real work.\n");
+    if (!breaks.empty())
+        std::printf("\nReading: optimized CodePack does NOT beat "
+                    "native+prefetch at both bus widths,\nby more at "
+                    "16 b, on:%s\n",
+                    breaks.c_str());
+    else if (m.failedCount() == 0)
+        std::printf("\nReading: optimized CodePack beats native+prefetch "
+                    "on every benchmark at both\nbus widths, and by more "
+                    "at 16 b: prefetching alone does not explain its "
+                    "win;\ncompression's bandwidth advantage is doing "
+                    "real work.\n");
     return m.exitSummary();
 }

@@ -2,7 +2,7 @@
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the integrity
  * checksum of compressed-image sections, artifact-cache envelopes,
- * recorded traces, IPC frames and journals.
+ * recorded traces and IPC frames.
  *
  * Computed by slicing-by-8: eight 256-entry tables, built at compile
  * time from the classic bytewise one, fold eight input bytes per step

@@ -95,39 +95,6 @@ encodeFrame(u32 type, const std::vector<u8> &payload)
     return out;
 }
 
-FrameReadStatus
-decodeFrameAt(const std::vector<u8> &bytes, size_t &pos, IpcFrame &out)
-{
-    if (pos == bytes.size())
-        return FrameReadStatus::Eof;
-    if (bytes.size() - pos < kHeaderBytes + kTrailerBytes)
-        return FrameReadStatus::Torn;
-    if (std::memcmp(bytes.data() + pos, kMagic, sizeof(kMagic)) != 0)
-        return FrameReadStatus::Torn;
-    u32 type = static_cast<u32>(bytes[pos + 4]) |
-               (static_cast<u32>(bytes[pos + 5]) << 8) |
-               (static_cast<u32>(bytes[pos + 6]) << 16) |
-               (static_cast<u32>(bytes[pos + 7]) << 24);
-    u32 len = static_cast<u32>(bytes[pos + 8]) |
-              (static_cast<u32>(bytes[pos + 9]) << 8) |
-              (static_cast<u32>(bytes[pos + 10]) << 16) |
-              (static_cast<u32>(bytes[pos + 11]) << 24);
-    size_t total = kHeaderBytes + size_t{len} + kTrailerBytes;
-    if (bytes.size() - pos < total)
-        return FrameReadStatus::Torn;
-    const u8 *frame = bytes.data() + pos;
-    u32 stored = static_cast<u32>(frame[total - 4]) |
-                 (static_cast<u32>(frame[total - 3]) << 8) |
-                 (static_cast<u32>(frame[total - 2]) << 16) |
-                 (static_cast<u32>(frame[total - 1]) << 24);
-    if (crc32(frame, total - 4) != stored)
-        return FrameReadStatus::Torn;
-    out.type = type;
-    out.payload.assign(frame + kHeaderBytes, frame + total - kTrailerBytes);
-    pos += total;
-    return FrameReadStatus::Ok;
-}
-
 void
 ignoreSigpipe()
 {

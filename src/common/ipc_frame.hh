@@ -2,25 +2,20 @@
  * @file
  * CRC'd message framing for the crash-isolated harness.
  *
- * Two byte streams use it. A forked cell worker (harness/cell_runner)
- * ships its result to the parent over a pipe, and the bytes on that
- * pipe are untrusted in exactly the way cached artifacts are: the
- * writer may have been killed mid-frame, crashed after writing half a
- * payload, or (in fault-campaign runs) deliberately garbled the stream.
- * Every frame therefore carries its own length and a CRC-32 over the
- * whole frame, and the reader classifies what it saw — a verified
- * frame, a clean EOF, a torn/garbled frame, or a deadline expiry —
- * instead of trusting any byte.
+ * A forked cell worker (harness/cell_runner) ships its result to the
+ * parent over a pipe, and the bytes on that pipe are untrusted in
+ * exactly the way cached artifacts are: the writer may have been killed
+ * mid-frame, crashed after writing half a payload, or (in fault-campaign
+ * runs) deliberately garbled the stream. Every frame therefore carries
+ * its own length and a CRC-32 over the whole frame, and the reader
+ * classifies what it saw — a verified frame, a clean EOF, a torn/garbled
+ * frame, or a deadline expiry — instead of trusting any byte.
  *
  * Frame layout (little-endian):
  *   magic "CPFR"            4 bytes
  *   u32 type                caller-defined message type
  *   u32 payloadLen, payload
  *   u32 CRC-32 over everything above
- *
- * The same encoding doubles as the on-disk record format of the matrix
- * journal (an append-only file of frames): a process killed mid-append
- * leaves a torn final frame, which decodeFrameAt() cleanly stops at.
  */
 
 #ifndef CPS_COMMON_IPC_FRAME_HH
@@ -53,15 +48,6 @@ enum class FrameReadStatus
     Timeout, ///< the deadline expired before a full frame arrived
     IoError, ///< read(2)/poll(2) failed
 };
-
-/**
- * Decodes consecutive frames from @p bytes starting at @p pos,
- * advancing @p pos past each verified frame. Returns Ok and fills
- * @p out for each frame; Eof exactly at the end; Torn on a damaged or
- * truncated frame (pos is left at the damaged frame's start).
- */
-FrameReadStatus decodeFrameAt(const std::vector<u8> &bytes, size_t &pos,
-                              IpcFrame &out);
 
 /**
  * Sets SIGPIPE to SIG_IGN process-wide, so that a write to a pipe

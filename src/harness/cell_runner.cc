@@ -37,8 +37,8 @@ constexpr u8 kEnvelopeVersion = 2;
  * The retry backoff doubles per attempt at most this many times, then
  * stays flat. Retries target transient host causes (an OOM kill, a
  * stray signal) that clear within a minute or two, and ten doublings
- * take the default 100 ms base to 102 s. The cap also keeps the shift
- * in range for all 100 retries CPS_CELL_RETRIES accepts.
+ * take a backoffMs of 100 (the default) to 102 s. The cap also keeps
+ * the shift in range whatever retries a config sets.
  */
 constexpr unsigned kMaxBackoffDoublings = 10;
 
@@ -215,7 +215,7 @@ CellStatus::describe() const
     std::string what;
     switch (state) {
       case CellState::Ok:
-        what = fromJournal ? "ok (journal)" : "ok";
+        what = resumed ? "ok (resumed)" : "ok";
         break;
       case CellState::Crashed:
         what = strfmt("crashed (signal %d)", termSignal);
@@ -274,10 +274,6 @@ CellRunnerConfig::fromEnv()
             cfg.isolate = std::string(env) != "0";
         cfg.timeoutMs = static_cast<long>(
             envUnsigned("CPS_CELL_TIMEOUT_MS", 0, 0, 1ull << 40));
-        cfg.retries = static_cast<unsigned>(
-            envUnsigned("CPS_CELL_RETRIES", 1, 0, 100));
-        cfg.backoffMs = static_cast<unsigned>(
-            envUnsigned("CPS_CELL_BACKOFF_MS", 100, 0, 1ull << 20));
         return cfg;
     }();
     return cached;
@@ -350,7 +346,7 @@ cellKey(const RunRequest &req)
     const PipelineConfig &p = c.pipeline;
     // Note: decomp keys the protection kind and its cycle costs, not
     // the soft-error domain pointer — a run with live fault injection
-    // is not cacheable and must bypass the journal.
+    // is not cacheable and must not go through the resume store.
     std::string key = strfmt(
         "cell4;insns=%llu;machine=%s;"
         "pipe=%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u;"
@@ -389,19 +385,6 @@ cellKey(const RunRequest &req)
                   static_cast<unsigned long long>(p.watchdogInterval),
                   p.watchdogStallLimit);
     return key + benchProgramKey(*req.bench->profile);
-}
-
-std::string
-matrixKey(const std::vector<RunRequest> &requests)
-{
-    // Full cell keys would make the matrix key megabytes long; their
-    // hashes spread just as well, and each journal record re-checks its
-    // own cell-key hash anyway.
-    std::string key =
-        strfmt("matrix1;cells=%zu;", requests.size());
-    for (const RunRequest &req : requests)
-        key += ArtifactCache::keyHash(cellKey(req)) + ";";
-    return key;
 }
 
 CellOutcome

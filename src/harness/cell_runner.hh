@@ -10,7 +10,7 @@
  * (common/ipc_frame), and the parent classifies whatever happens —
  * verified result, crash signal, nonzero exit, garbled stream, or
  * deadline expiry — into a structured CellStatus. Failures are retried
- * a bounded number of times with exponential backoff (the cells are
+ * with exponential backoff, by default once after 100 ms (the cells are
  * deterministic, so retries target transient host causes: OOM kills,
  * external signals). The default path stays inline and byte-identical
  * to the pre-isolation engine.
@@ -18,9 +18,6 @@
  * Knobs (read once per process by CellRunnerConfig::fromEnv):
  *   CPS_ISOLATE=1          fork one worker per cell (default: inline)
  *   CPS_CELL_TIMEOUT_MS    per-cell wall-clock deadline (default 0 = none)
- *   CPS_CELL_RETRIES       extra attempts after a failure (default 1)
- *   CPS_CELL_BACKOFF_MS    base backoff, doubled per attempt up to 10
- *                          times (default 100)
  */
 
 #ifndef CPS_HARNESS_CELL_RUNNER_HH
@@ -89,7 +86,7 @@ struct CellStatus
     int termSignal = 0;       ///< valid for Crashed
     int exitCode = 0;         ///< valid for ExitedError
     unsigned attempts = 1;    ///< attempts consumed (1 = first try)
-    bool fromJournal = false; ///< replayed from a resume journal
+    bool resumed = false;     ///< loaded from the resume store
     std::string detail;       ///< human-readable diagnosis
 
     bool ok() const { return state == CellState::Ok; }
@@ -119,7 +116,8 @@ struct CellRunnerConfig
     unsigned retries = 1;    ///< extra attempts after a failure
     unsigned backoffMs = 100; ///< base backoff, doubled up to 10 times
 
-    /** The process-wide policy (CPS_ISOLATE & friends, read once). */
+    /** The process-wide policy: CPS_ISOLATE and CPS_CELL_TIMEOUT_MS,
+     *  read once, with the default retries and backoff. */
     static const CellRunnerConfig &fromEnv();
 };
 
@@ -149,23 +147,19 @@ class CellRunner
 
 /**
  * Result-envelope serialization shared by the worker pipe and the
- * resume journal. decodeRunOutcomeChecked verifies structure; the
- * surrounding frame already carries the CRC.
+ * resume store. decodeRunOutcomeChecked verifies structure; the
+ * surrounding frame or cache entry already carries the CRC.
  */
 std::vector<u8> encodeRunOutcome(const RunOutcome &out);
 Result<RunOutcome> decodeRunOutcomeChecked(const std::vector<u8> &bytes);
 
 /**
- * Cache-style key of one cell: every input the outcome is a function
- * of — the benchmark's full program key, every MachineConfig field,
- * the instruction budget — plus an engine version tag,
- * so any code or config change invalidates journal entries by
- * construction.
+ * Cache key of one cell: every input the outcome is a function of —
+ * the benchmark's full program key, every MachineConfig field, the
+ * instruction budget — plus an engine version tag, so any code or
+ * config change invalidates resume-store entries by construction.
  */
 std::string cellKey(const RunRequest &req);
-
-/** Key of a whole matrix: all cell keys (order included) + version. */
-std::string matrixKey(const std::vector<RunRequest> &requests);
 
 } // namespace harness
 } // namespace cps

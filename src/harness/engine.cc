@@ -2,12 +2,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <memory>
+#include <cstdlib>
+#include <fcntl.h>
 #include <unistd.h>
 
+#include "common/artifact_cache.hh"
 #include "common/logging.hh"
 #include "common/threadpool.hh"
-#include "journal.hh"
 
 namespace cps
 {
@@ -19,7 +20,7 @@ namespace
 
 /**
  * Test hook simulating a mid-matrix kill: after this many newly
- * executed (non-journaled) cells complete, the process exits with code
+ * executed (not resumed) cells complete, the process exits with code
  * 42 — from inside the engine, exactly where a real SIGKILL would cut
  * a campaign short. Used by the interrupted/resumed determinism test;
  * unset (the default) in real runs.
@@ -33,6 +34,38 @@ testExitAfterCells()
 }
 
 constexpr int kTestExitCode = 42;
+
+/**
+ * The resume store: the artifact cache's directory, opened once and
+ * enabled by CPS_RESUME=1 alone, so resume works with
+ * CPS_ARTIFACT_CACHE=0 too.
+ */
+const ArtifactCache &
+resumeStore()
+{
+    static const ArtifactCache store = [] {
+        const char *env = std::getenv("CPS_RESUME");
+        return ArtifactCache(ArtifactCache::instance().dir(),
+                             env != nullptr && std::string(env) != "0");
+    }();
+    return store;
+}
+
+/**
+ * Flushes a published entry to stable storage: a checkpoint that only
+ * reached the page cache is lost to the very host crash it exists to
+ * survive. Best-effort; a lost entry costs a re-run, never a wrong
+ * table.
+ */
+void
+syncEntry(const std::string &path)
+{
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return;
+    ::fsync(fd);
+    ::close(fd);
+}
 
 } // namespace
 
@@ -49,37 +82,36 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
         threads = defaultThreadCount();
 
     const CellRunner runner(CellRunnerConfig::fromEnv());
-
-    // Resume journal: replay completed cells, execute the rest, and
-    // record each newly completed cell as soon as it finishes.
-    std::unique_ptr<MatrixJournal> journal;
-    if (resumeEnabled()) {
-        journal = std::make_unique<MatrixJournal>(
-            journalDir(), matrixKey(requests), requests.size());
-        std::vector<std::optional<RunOutcome>> replayed =
-            journal->load(requests);
-        for (size_t i = 0; i < requests.size(); ++i) {
-            if (!replayed[i])
-                continue;
-            cells[i].outcome = std::move(*replayed[i]);
-            cells[i].status.fromJournal = true;
-        }
-    }
+    const ArtifactCache &store = resumeStore();
 
     std::atomic<u64> completed{0};
     const u64 exit_after = testExitAfterCells();
 
+    // Resume: a cell that an earlier CPS_RESUME=1 run finished, in any
+    // table, loads from the store under its cellKey; the rest execute,
+    // and each success is stored as soon as it finishes.
     auto runCell = [&](size_t i) {
-        if (cells[i].status.fromJournal)
-            return;
+        std::string key;
+        if (store.enabled()) {
+            key = cellKey(requests[i]);
+            if (std::optional<std::vector<u8>> env = store.load(key)) {
+                Result<RunOutcome> out = decodeRunOutcomeChecked(*env);
+                if (out) {
+                    cells[i].outcome = std::move(*out);
+                    cells[i].status.resumed = true;
+                    return;
+                }
+            }
+        }
         cells[i] = runner.run(requests[i]);
-        if (journal && cells[i].status.ok())
-            journal->append(i, cellKey(requests[i]), cells[i].outcome);
+        if (store.enabled() && cells[i].status.ok() &&
+            store.store(key, encodeRunOutcome(cells[i].outcome)))
+            syncEntry(store.entryPath(key));
         if (exit_after > 0 &&
             completed.fetch_add(1, std::memory_order_relaxed) + 1 >=
                 exit_after) {
-            // Simulated kill: no flushing, no destructors — the journal
-            // records already on disk are all a rerun gets.
+            // Simulated kill: no flushing, no destructors — the cells
+            // already stored are all a rerun gets.
             ::_exit(kTestExitCode);
         }
     };
@@ -90,16 +122,6 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
     } else {
         ThreadPool pool(threads);
         pool.parallelFor(requests.size(), runCell);
-    }
-
-    // A fully successful matrix closes its journal: reruns replay from
-    // the compact form and repeat campaigns stop growing the file.
-    if (journal) {
-        bool all_ok = true;
-        for (const CellOutcome &c : cells)
-            all_ok = all_ok && c.status.ok();
-        if (all_ok)
-            journal->compact(requests);
     }
     return cells;
 }

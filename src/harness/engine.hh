@@ -11,15 +11,17 @@
  * collection — so a table binary's stdout is byte-identical at any
  * CPS_THREADS value, including 1 (which runs inline with no pool), with
  * or without worker isolation, and whether cells were executed or
- * replayed from a resume journal.
+ * resumed from the artifact cache.
  *
- * Resilience layer (see cell_runner.hh / journal.hh):
+ * Resilience layer (see cell_runner.hh):
  *   CPS_ISOLATE=1  runs each cell in a forked worker; a crash, hang or
  *                  garbled result becomes a structured CellStatus
  *                  instead of killing the whole table run
- *   CPS_RESUME=1   journals each completed cell; a killed binary rerun
- *                  with the same matrix replays completed cells and
- *                  executes only the missing ones
+ *   CPS_RESUME=1   stores each successful cell's result envelope in
+ *                  the artifact-cache directory under its cellKey
+ *                  (fsynced); a rerun, of the same table or any other
+ *                  sharing the cell, loads it and executes only the
+ *                  cells it could not load
  * Cells that exhaust their retries surface as FAILED(reason)
  * placeholders in the table (Matrix::fmtNext) and a nonzero exit
  * summary (Matrix::exitSummary) instead of aborting the binary.
@@ -40,8 +42,8 @@ namespace harness
 
 /**
  * Runs every request under the process-wide resilience policy
- * (CellRunnerConfig::fromEnv + CPS_RESUME journaling) and returns
- * result + status per cell, in submission order.
+ * (CellRunnerConfig::fromEnv + CPS_RESUME) and returns result + status
+ * per cell, in submission order.
  * @param requests the matrix cells; each bench pointer must be valid
  * @param threads worker count; 0 means defaultThreadCount()
  */

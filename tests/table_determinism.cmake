@@ -7,7 +7,7 @@
 # of four contracts: matrix determinism at any worker count,
 # trace-replay equivalence with live execution, artifact-cache
 # transparency, and resilience transparency (worker isolation and
-# journal replay change how cells execute, never what the table
+# resumed cells change how cells execute, never what the table
 # prints). The golden pins the numbers themselves, so a change that
 # shifts every leg alike still fails.
 #
@@ -97,14 +97,15 @@ if (NOT isolated_rc EQUAL 0)
 endif()
 unset(ENV{CPS_ISOLATE})
 
-# Interrupted/resumed leg: the first run journals each completed cell
-# (CPS_RESUME=1) and the engine's test hook kills the process from
-# inside runMatrixCells after 5 newly executed cells (exit 42, no cleanup —
-# exactly what an external SIGKILL leaves behind). The rerun must
-# replay the journaled cells, execute only the rest, and print the
-# same bytes an uninterrupted run prints.
+# Interrupted/resumed leg: the first run stores each completed cell in
+# the cache directory (CPS_RESUME=1) and the engine's test hook kills
+# the process from inside runMatrixCells after 5 newly executed cells
+# (exit 42, no cleanup — exactly what an external SIGKILL leaves
+# behind). The rerun must load the stored cells, execute only the
+# rest, and print the same bytes an uninterrupted run prints.
 set(interrupted_out "${WORK_DIR}/${OUT_PREFIX}_interrupted.txt")
 set(resumed_out "${WORK_DIR}/${OUT_PREFIX}_resumed.txt")
+set(rerun_out "${WORK_DIR}/${OUT_PREFIX}_rerun.txt")
 set(ENV{CPS_RESUME} "1")
 set(ENV{CPS_TEST_EXIT_AFTER_CELLS} "5")
 execute_process(COMMAND ${TABLE_BIN}
@@ -123,6 +124,18 @@ if (NOT resumed_rc EQUAL 0)
     message(FATAL_ERROR "resumed (CPS_RESUME=1) run failed "
         "(rc=${resumed_rc})")
 endif()
+
+# A completed matrix executes no cell: rerun with the kill hook armed
+# for the first executed cell, which must never fire.
+set(ENV{CPS_TEST_EXIT_AFTER_CELLS} "1")
+execute_process(COMMAND ${TABLE_BIN}
+    OUTPUT_FILE ${rerun_out}
+    RESULT_VARIABLE rerun_rc)
+if (NOT rerun_rc EQUAL 0)
+    message(FATAL_ERROR "rerun of a completed matrix executed a cell "
+        "or failed (rc=${rerun_rc})")
+endif()
+unset(ENV{CPS_TEST_EXIT_AFTER_CELLS})
 unset(ENV{CPS_RESUME})
 
 execute_process(
@@ -171,6 +184,14 @@ execute_process(
 if (NOT resume_diff_rc EQUAL 0)
     message(FATAL_ERROR "table output differs between an uninterrupted "
         "run and a killed-then-resumed (CPS_RESUME=1) run")
+endif()
+
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${serial_out} ${rerun_out}
+    RESULT_VARIABLE rerun_diff_rc)
+if (NOT rerun_diff_rc EQUAL 0)
+    message(FATAL_ERROR "table output differs between an uninterrupted "
+        "run and a rerun of a completed matrix (CPS_RESUME=1)")
 endif()
 
 execute_process(
