@@ -11,9 +11,11 @@
  * This component batches that work: one functional pass records each
  * retired instruction as a compact 16-byte TraceEntry, and any number of
  * timing runs replay the immutable buffer instead of driving the
- * Executor. Both pipelines consume the stream through the TraceSource
- * interface, so live and replayed runs are cycle-for-cycle identical by
- * construction (test_trace_replay asserts it stat-for-stat).
+ * Executor. On disk (encodeTrace) an entry is delta-coded against the
+ * one before it and takes under two bytes. Both pipelines consume the
+ * stream through the TraceSource interface, so live and replayed runs
+ * are cycle-for-cycle identical by construction (test_trace_replay
+ * asserts it stat-for-stat).
  *
  * Thread safety: a TraceBuffer is immutable after recording; publishing
  * it under a lock (harness::Suite does) makes concurrent replays safe.
@@ -103,9 +105,6 @@ class TraceBuffer
     {
         return complete_ || entries_.size() >= max_insns + lookahead;
     }
-
-    /** Heap bytes held by the entry storage (memory-cap accounting). */
-    size_t byteSize() const { return entries_.capacity() * sizeof(TraceEntry); }
 
     void reserve(size_t n) { entries_.reserve(n); }
 
@@ -216,16 +215,23 @@ TraceBuffer recordTrace(const Program &prog, u64 max_entries);
 
 /**
  * Serializes @p trace for the on-disk artifact cache (little-endian:
- * magic "CPSTRC1", entry count, completeness flag, packed entries, then
- * a CRC-32 over everything before it).
+ * magic "CPSTRC2", entry count, completeness flag, text base, one
+ * delta-coded entry of 1-19 bytes per instruction, then a CRC-32 over
+ * everything before it; trace_io.cc documents the entry coding). Each
+ * entry is a tag byte plus only the fields its predecessor does not
+ * imply, so recorded traces take under two bytes per entry.
  */
 std::vector<u8> encodeTrace(const TraceBuffer &trace);
 
 /**
  * Checked inverse of encodeTrace. Cached traces are untrusted input
  * (another process wrote them; the disk may have corrupted them), so
- * rejection is a structured DecodeError and the declared entry count is
- * validated against the bytes present before anything is allocated.
+ * rejection is a structured DecodeError carrying its byte offset. The
+ * CRC runs first; the declared entry count is validated against the
+ * bytes present (at least one per entry) before anything is allocated;
+ * unknown tag bits, truncated or overlong varints, fields stored where
+ * they were implied and trailing bytes are all rejected, so whatever
+ * decodes re-encodes to the same bytes.
  */
 Result<TraceBuffer> decodeTraceChecked(const std::vector<u8> &bytes);
 

@@ -3,6 +3,36 @@
  * TraceBuffer (de)serialization for the artifact cache: pregeneration
  * records each benchmark's functional trace once, and warm runs load it
  * from disk instead of re-executing up to CPS_TRACE_INSNS instructions.
+ *
+ * Container layout (little-endian):
+ *
+ *   magic "CPSTRC2\0"   8 bytes
+ *   count               u32, entries that follow
+ *   complete            u8, 0 or 1
+ *   text base           u32, first entry's pc - 4 * its word index
+ *                       (0 when the trace is empty)
+ *   entries             one tag byte each, then the fields it names
+ *   CRC-32              u32, over every byte before it
+ *
+ * Each entry is coded against the state the previous one left: the pc
+ * it implies (its nextPc; the text base before the first entry) and the
+ * last nonzero memory address (0 at first). The tag keeps the taken and
+ * halted bits where TraceEntry::meta keeps them, plus one bit per field
+ * that is not implied:
+ *
+ *   kPcFollows      raw u32 pc           implied: the previous nextPc
+ *   kTargetFollows  varint zigzag(nextPc - (pc + 4))   implied: pc + 4
+ *   kMemFollows     varint zigzag(memAddr - last nonzero memAddr)
+ *                                        implied: memAddr 0
+ *   kIndexFollows   raw u32 word index   implied: (pc - text base) >> 2
+ *
+ * Varints are LEB128 of at most five bytes. Recorded traces take
+ * 1.5-1.8 bytes per entry against 16 in memory.
+ *
+ * The decoder accepts exactly what the encoder writes: a field stored
+ * when it was implied, an overlong varint, a header base other than the
+ * one the first entry gives, unknown tag bits and trailing bytes are all
+ * rejected. So any container that decodes re-encodes to its own bytes.
  */
 
 #include "trace.hh"
@@ -18,33 +48,141 @@ namespace cps
 namespace
 {
 
-constexpr char kTraceMagic[8] = {'C', 'P', 'S', 'T', 'R', 'C', '1', '\0'};
+constexpr char kTraceMagic[8] = {'C', 'P', 'S', 'T', 'R', 'C', '2', '\0'};
 
-/** Bytes before the first entry: magic, u32 count, u8 complete flag. */
-constexpr size_t kHeaderBytes = sizeof(kTraceMagic) + 5;
+/** Bytes before the first entry: magic, count, complete flag, text base. */
+constexpr size_t kHeaderBytes = sizeof(kTraceMagic) + 9;
 
-/** Bytes of one serialized entry (pc, nextPc, memAddr, meta). */
-constexpr size_t kEntryBytes = 16;
+/** Tag bits shared with TraceEntry::meta. */
+constexpr u8 kFlagBits = TraceEntry::kTakenBit | TraceEntry::kHaltedBit;
+constexpr u8 kPcFollows = 1u << 2;
+constexpr u8 kTargetFollows = 1u << 3;
+constexpr u8 kMemFollows = 1u << 4;
+constexpr u8 kIndexFollows = 1u << 5;
+constexpr u8 kKnownTagBits =
+    kFlagBits | kPcFollows | kTargetFollows | kMemFollows | kIndexFollows;
+
+/** Word indices fill the 30 bits of meta above the flags. */
+constexpr u32 kIndexLimit = 1u << 30;
+
+/** The text base a first entry gives: its pc less 4 * its word index. */
+Addr
+textBase(const TraceEntry &first)
+{
+    return first.pc - 4 * first.wordIndex();
+}
+
+/** Maps a wrapping 32-bit delta to one whose small magnitudes are small. */
+u32
+zigzag(u32 delta)
+{
+    return (delta << 1) ^ (0u - (delta >> 31));
+}
+
+u32
+unzigzag(u32 z)
+{
+    return (z >> 1) ^ (0u - (z & 1));
+}
+
+void
+putVarint(std::vector<u8> &out, u32 v)
+{
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<u8>(v | 0x80));
+    out.push_back(static_cast<u8>(v));
+}
+
+enum class VarintRead
+{
+    Ok,
+    Truncated,
+    Overlong,
+};
+
+/**
+ * Reads the varint at @p p into @p v and advances @p p past it. Rejects
+ * one that runs past @p end, one with bits above the 32nd (or a sixth
+ * byte), and one whose last byte is a zero after the first: the same
+ * value without it is shorter.
+ */
+VarintRead
+readVarint(const u8 *&p, const u8 *end, u32 &v)
+{
+    u32 value = 0;
+    for (unsigned shift = 0;; shift += 7) {
+        if (p == end)
+            return VarintRead::Truncated;
+        const u8 b = *p++;
+        if (shift == 28 && b > 0x0F)
+            return VarintRead::Overlong;
+        value |= static_cast<u32>(b & 0x7F) << shift;
+        if (b < 0x80) {
+            if (b == 0 && shift != 0)
+                return VarintRead::Overlong;
+            v = value;
+            return VarintRead::Ok;
+        }
+    }
+}
+
+/** The error for a varint field readVarint refused. */
+DecodeError
+varintError(VarintRead r, size_t at, u32 entry, const char *field)
+{
+    if (r == VarintRead::Truncated)
+        return decodeErrorAtByte(DecodeStatus::Truncated, at,
+                                 "trace ends inside entry %u's %s", entry,
+                                 field);
+    return decodeErrorAtByte(DecodeStatus::Malformed, at,
+                             "entry %u has an overlong %s", entry, field);
+}
 
 } // namespace
 
 std::vector<u8>
 encodeTrace(const TraceBuffer &trace)
 {
-    // Sized once; each entry's four words are stored in place.
-    std::vector<u8> out(kHeaderBytes + trace.size() * kEntryBytes + 4);
+    const size_t count = trace.size();
+    const Addr base = count == 0 ? 0 : textBase(trace.entry(0));
+
+    std::vector<u8> out(kHeaderBytes);
+    // Recorded traces need under two bytes per entry; one regrow covers
+    // anything denser.
+    out.reserve(kHeaderBytes + 2 * count + 4);
     std::memcpy(out.data(), kTraceMagic, sizeof(kTraceMagic));
-    storeLe32(&out[sizeof(kTraceMagic)], static_cast<u32>(trace.size()));
+    storeLe32(&out[sizeof(kTraceMagic)], static_cast<u32>(count));
     out[sizeof(kTraceMagic) + 4] = trace.complete() ? 1 : 0;
-    u8 *p = out.data() + kHeaderBytes;
-    for (size_t i = 0; i < trace.size(); ++i, p += kEntryBytes) {
+    storeLe32(&out[sizeof(kTraceMagic) + 5], base);
+
+    Addr implied_pc = base;
+    Addr last_mem = 0;
+    for (size_t i = 0; i < count; ++i) {
         const TraceEntry &e = trace.entry(i);
-        storeLe32(p, e.pc);
-        storeLe32(p + 4, e.nextPc);
-        storeLe32(p + 8, e.memAddr);
-        storeLe32(p + 12, e.meta);
+        u8 tag = static_cast<u8>(e.meta & kFlagBits);
+        if (e.pc != implied_pc)
+            tag |= kPcFollows;
+        if (e.nextPc != e.pc + 4)
+            tag |= kTargetFollows;
+        if (e.memAddr != 0)
+            tag |= kMemFollows;
+        if (e.wordIndex() != (e.pc - base) >> 2)
+            tag |= kIndexFollows;
+
+        out.push_back(tag);
+        if (tag & kPcFollows)
+            put32(out, e.pc);
+        if (tag & kTargetFollows)
+            putVarint(out, zigzag(e.nextPc - (e.pc + 4)));
+        if (tag & kMemFollows) {
+            putVarint(out, zigzag(e.memAddr - last_mem));
+            last_mem = e.memAddr;
+        }
+        if (tag & kIndexFollows)
+            put32(out, e.wordIndex());
+        implied_pc = e.nextPc;
     }
-    storeLe32(p, crc32(out.data(), out.size() - 4));
+    put32(out, crc32(out.data(), out.size()));
     return out;
 }
 
@@ -61,35 +199,120 @@ decodeTraceChecked(const std::vector<u8> &bytes)
     if (!cur.expectMagic(kTraceMagic, sizeof(kTraceMagic)))
         return decodeErrorAtByte(DecodeStatus::BadMagic, 0,
                                  "not a recorded trace (bad magic)");
-    size_t at = cur.pos();
-    u32 count = cur.get32();
-    u8 complete = cur.get8();
-    if (!cur.ok())
+    const size_t at = cur.pos();
+    const u32 count = cur.get32();
+    const u8 complete = cur.get8();
+    const Addr base = cur.get32();
+    // The CRC trailer is not part of the header.
+    if (!cur.ok() || cur.remaining() < 4)
         return decodeErrorAtByte(DecodeStatus::Truncated, at,
                                  "file ends inside the trace header");
     if (complete > 1)
         return decodeErrorAtByte(DecodeStatus::BadHeader, at + 4,
                                  "trace completeness flag is %u",
                                  complete);
-    // Validate the declared size against the bytes actually present
-    // before allocating anything (+4 for the trailing CRC).
-    if (cur.remaining() != size_t{count} * kEntryBytes + 4)
+
+    const u8 *const start = bytes.data();
+    const u8 *p = start + cur.pos();
+    const u8 *const end = start + bytes.size() - 4;
+    // Every entry takes at least its tag byte: check the declared count
+    // against the bytes present before allocating anything.
+    if (count > static_cast<size_t>(end - p))
         return decodeErrorAtByte(
             DecodeStatus::Truncated, cur.pos(),
-            "trace declares %u entries (%zu bytes) but %zu remain",
-            count, size_t{count} * kEntryBytes, cur.remaining());
+            "trace declares %u entries but only %zu bytes follow", count,
+            static_cast<size_t>(end - p));
 
-    // The bounds are proven for every entry, so they decode without
-    // per-byte checks.
-    std::vector<TraceEntry> entries(count);
-    const u8 *p = bytes.data() + cur.pos();
-    for (TraceEntry &e : entries) {
-        e.pc = loadLe32(p);
-        e.nextPc = loadLe32(p + 4);
-        e.memAddr = loadLe32(p + 8);
-        e.meta = loadLe32(p + 12);
-        p += kEntryBytes;
+    std::vector<TraceEntry> entries;
+    entries.reserve(count);
+    Addr implied_pc = base;
+    Addr last_mem = 0;
+    for (u32 i = 0; i < count; ++i) {
+        if (p == end)
+            return decodeErrorAtByte(DecodeStatus::Truncated, p - start,
+                                     "trace ends after %u of %u entries",
+                                     i, count);
+        const u8 tag = *p;
+        if (tag & ~kKnownTagBits)
+            return decodeErrorAtByte(DecodeStatus::Malformed, p - start,
+                                     "entry %u has unknown tag bits 0x%02x",
+                                     i, tag & ~kKnownTagBits);
+        ++p;
+
+        TraceEntry e;
+        if (tag & kPcFollows) {
+            if (end - p < 4)
+                return decodeErrorAtByte(DecodeStatus::Truncated,
+                                         p - start,
+                                         "trace ends inside entry %u's pc",
+                                         i);
+            e.pc = loadLe32(p);
+            if (e.pc == implied_pc)
+                return decodeErrorAtByte(
+                    DecodeStatus::Malformed, p - start,
+                    "entry %u stores the pc it implies", i);
+            p += 4;
+        } else {
+            e.pc = implied_pc;
+        }
+
+        e.nextPc = e.pc + 4;
+        if (tag & kTargetFollows) {
+            const size_t field = p - start;
+            u32 z = 0;
+            if (VarintRead r = readVarint(p, end, z); r != VarintRead::Ok)
+                return varintError(r, field, i, "nextPc delta");
+            if (z == 0)
+                return decodeErrorAtByte(
+                    DecodeStatus::Malformed, field,
+                    "entry %u stores the nextPc it implies", i);
+            e.nextPc += unzigzag(z);
+        }
+
+        if (tag & kMemFollows) {
+            const size_t field = p - start;
+            u32 z = 0;
+            if (VarintRead r = readVarint(p, end, z); r != VarintRead::Ok)
+                return varintError(r, field, i, "memory address delta");
+            e.memAddr = last_mem + unzigzag(z);
+            if (e.memAddr == 0)
+                return decodeErrorAtByte(
+                    DecodeStatus::Malformed, field,
+                    "entry %u stores the memory address it implies", i);
+            last_mem = e.memAddr;
+        }
+
+        u32 index = (e.pc - base) >> 2;
+        if (tag & kIndexFollows) {
+            if (end - p < 4)
+                return decodeErrorAtByte(
+                    DecodeStatus::Truncated, p - start,
+                    "trace ends inside entry %u's word index", i);
+            const u32 stored = loadLe32(p);
+            if (stored >= kIndexLimit || stored == index)
+                return decodeErrorAtByte(
+                    DecodeStatus::Malformed, p - start,
+                    "entry %u stores word index %u (implied %u)", i,
+                    stored, index);
+            index = stored;
+            p += 4;
+        }
+        e.meta = (index << 2) | (tag & kFlagBits);
+
+        implied_pc = e.nextPc;
+        entries.push_back(e);
     }
+    if (p != end)
+        return decodeErrorAtByte(DecodeStatus::Malformed, p - start,
+                                 "%zu bytes follow the last trace entry",
+                                 static_cast<size_t>(end - p));
+
+    const Addr first_base = count == 0 ? 0 : textBase(entries[0]);
+    if (base != first_base)
+        return decodeErrorAtByte(DecodeStatus::BadHeader, at + 5,
+                                 "trace text base 0x%08x, first entry "
+                                 "gives 0x%08x",
+                                 base, first_base);
     return TraceBuffer(std::move(entries), complete != 0);
 }
 

@@ -59,8 +59,9 @@ benchImageKey(const BenchmarkProfile &p,
 std::string
 benchTraceKey(const BenchmarkProfile &p, u64 trace_cap)
 {
-    // trc1 = trace container version; exe1 = functional-core revision.
-    return strfmt("trc1;exe1;cap=%llu;",
+    // trc2 = trace container version (delta-coded entries); exe1 =
+    // functional-core revision.
+    return strfmt("trc2;exe1;cap=%llu;",
                   static_cast<unsigned long long>(trace_cap)) +
            benchProgramKey(p);
 }

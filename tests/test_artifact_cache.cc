@@ -353,36 +353,6 @@ TEST(ArtifactCache, ConcurrentSameKeyWritersProduceAValidEntry)
     EXPECT_EQ(files, 1u);
 }
 
-TEST(TraceIo, RoundTripAndCorruptionRejected)
-{
-    Program prog = generateProgram(tinyProfile());
-    TraceBuffer trace = recordTrace(prog, 5000);
-    ASSERT_GT(trace.size(), 0u);
-
-    std::vector<u8> bytes = encodeTrace(trace);
-    Result<TraceBuffer> back = decodeTraceChecked(bytes);
-    ASSERT_TRUE(back.ok());
-    ASSERT_EQ(back->size(), trace.size());
-    EXPECT_EQ(back->complete(), trace.complete());
-    for (size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(back->entry(i).pc, trace.entry(i).pc);
-        EXPECT_EQ(back->entry(i).nextPc, trace.entry(i).nextPc);
-        EXPECT_EQ(back->entry(i).memAddr, trace.entry(i).memAddr);
-        EXPECT_EQ(back->entry(i).meta, trace.entry(i).meta);
-    }
-    // Re-encoding reproduces the bytes exactly (cache stability).
-    EXPECT_EQ(encodeTrace(*back), bytes);
-
-    std::vector<u8> flipped = bytes;
-    flipped[flipped.size() / 3] ^= 0x01;
-    Result<TraceBuffer> bad = decodeTraceChecked(flipped);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.error().status, DecodeStatus::BadCrc);
-
-    std::vector<u8> truncated(bytes.begin(), bytes.begin() + 10);
-    EXPECT_FALSE(decodeTraceChecked(truncated).ok());
-}
-
 TEST(ParallelCompressors, CodePackByteIdenticalAcrossThreadCounts)
 {
     Program prog = generateProgram(tinyProfile());
