@@ -6,18 +6,12 @@
  * used entries. The paper's baseline CodePack keeps exactly the last-used
  * entry (1 line x 1 index); the optimized configuration is a
  * fully-associative cache of 64 lines with 4 index entries per line
- * ("1KB of index entries and 88 bytes of tag storage").
+ * ("1KB of index entries and 88 bytes of tag storage"). Every geometry
+ * is fully associative with true-LRU replacement.
  *
  * Lookup is by compression-group number. A line covers @c indexesPerLine
  * consecutive groups, so a single fill maps indexesPerLine * 128 bytes of
  * native text.
- *
- * Beyond the paper's fully-associative true-LRU design, the cache
- * supports the replacement and geometry ablations of the adaptive
- * prefetch family (bench_ext_prefetch_adapt): FIFO and seeded-random
- * victim selection, and a set-associative partition of the lines (tag
- * modulo set count selects the set; each set is searched and replaced
- * independently). The defaults reproduce the paper's behaviour exactly.
  */
 
 #ifndef CPS_CACHE_INDEX_CACHE_HH
@@ -26,64 +20,28 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "common/types.hh"
 
 namespace cps
 {
 
-/** Victim-selection policy of the index cache (ablation knob). */
-enum class IndexReplacement : u8
-{
-    Lru,    ///< true LRU (the paper's design)
-    Fifo,   ///< oldest fill evicted, accesses do not refresh
-    Random, ///< deterministic seeded-random victim
-};
-
-/** Short stable spelling ("lru"/"fifo"/"random"). */
-inline const char *
-indexReplacementName(IndexReplacement repl)
-{
-    switch (repl) {
-      case IndexReplacement::Lru:
-        return "lru";
-      case IndexReplacement::Fifo:
-        return "fifo";
-      case IndexReplacement::Random:
-        return "random";
-    }
-    return "?";
-}
-
-/** Cache over index-table entries; associativity and policy above. */
+/** Fully-associative true-LRU cache over index-table entries. */
 class IndexCache
 {
   public:
     /**
-     * @param lines number of cache lines in total
+     * @param lines number of cache lines
      * @param indexes_per_line consecutive index entries per line
-     * @param repl victim-selection policy
-     * @param sets set count; 1 = fully associative. Lines are divided
-     *        evenly (lines must be a multiple of sets); a line's set is
-     *        its tag modulo @p sets.
      */
-    IndexCache(unsigned lines, unsigned indexes_per_line,
-               IndexReplacement repl = IndexReplacement::Lru,
-               unsigned sets = 1)
-        : indexesPerLine_(indexes_per_line), repl_(repl), sets_(sets),
-          lines_(lines)
+    IndexCache(unsigned lines, unsigned indexes_per_line)
+        : indexesPerLine_(indexes_per_line), lines_(lines)
     {
         cps_assert(lines >= 1 && indexes_per_line >= 1,
                    "index cache needs at least one line and one index");
-        cps_assert(sets >= 1 && lines % sets == 0,
-                   "index cache set count %u must divide %u lines", sets,
-                   lines);
     }
 
     unsigned numLines() const { return static_cast<unsigned>(lines_.size()); }
     unsigned indexesPerLine() const { return indexesPerLine_; }
-    unsigned numSets() const { return sets_; }
-    IndexReplacement replacement() const { return repl_; }
 
     /** Total bytes of index entries held (each entry is 32 bits). */
     unsigned
@@ -99,59 +57,42 @@ class IndexCache
     bool
     access(u32 group)
     {
-        Line *l = find(group);
-        if (!l)
-            return false;
-        if (repl_ == IndexReplacement::Lru)
-            l->lastUse = ++useClock_;
-        return true;
+        u32 tag = group / indexesPerLine_;
+        for (Line &l : lines_) {
+            if (l.valid && l.tag == tag) {
+                l.lastUse = ++useClock_;
+                return true;
+            }
+        }
+        return false;
     }
 
-    /** Inserts the line covering @p group, evicting per the policy. */
+    /** Inserts the line covering @p group into an invalid line, or
+     *  over the least recently used one. */
     void
     fill(u32 group)
     {
-        u32 tag = group / indexesPerLine_;
-        unsigned ways = numLines() / sets_;
-        unsigned base = (tag % sets_) * ways;
         Line *victim = nullptr;
-        for (unsigned w = 0; w < ways; ++w) {
-            Line &l = lines_[base + w];
+        for (Line &l : lines_) {
             if (!l.valid) {
                 victim = &l;
                 break;
             }
-        }
-        if (!victim) {
-            switch (repl_) {
-              case IndexReplacement::Lru:
-              case IndexReplacement::Fifo:
-                // FIFO reuses lastUse as the fill sequence number
-                // (access() never refreshes it under FIFO).
-                for (unsigned w = 0; w < ways; ++w) {
-                    Line &l = lines_[base + w];
-                    if (!victim || l.lastUse < victim->lastUse)
-                        victim = &l;
-                }
-                break;
-              case IndexReplacement::Random:
-                victim = &lines_[base + rng_.below(ways)];
-                break;
-            }
+            if (!victim || l.lastUse < victim->lastUse)
+                victim = &l;
         }
         victim->valid = true;
-        victim->tag = tag;
+        victim->tag = group / indexesPerLine_;
         victim->lastUse = ++useClock_;
     }
 
-    /** Invalidates all lines (and resets the replacement state). */
+    /** Invalidates all lines (and resets the LRU clock). */
     void
     invalidateAll()
     {
         for (Line &l : lines_)
             l = Line{};
         useClock_ = 0;
-        rng_ = Rng(kRngSeed);
     }
 
   private:
@@ -162,28 +103,8 @@ class IndexCache
         u64 lastUse = 0;
     };
 
-    /** Fixed seed: random replacement must replay deterministically. */
-    static constexpr u64 kRngSeed = 0x1dc0deULL;
-
-    Line *
-    find(u32 group)
-    {
-        u32 tag = group / indexesPerLine_;
-        unsigned ways = numLines() / sets_;
-        unsigned base = (tag % sets_) * ways;
-        for (unsigned w = 0; w < ways; ++w) {
-            Line &l = lines_[base + w];
-            if (l.valid && l.tag == tag)
-                return &l;
-        }
-        return nullptr;
-    }
-
     unsigned indexesPerLine_;
-    IndexReplacement repl_;
-    unsigned sets_;
     u64 useClock_ = 0;
-    Rng rng_{kRngSeed};
     std::vector<Line> lines_;
 };
 

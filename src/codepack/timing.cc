@@ -15,51 +15,35 @@ DecompressorModel::DecompressorModel(const CompressedImage &img,
     : img_(img), decomp_(img),
       fetcher_(decomp_, &stats, cfg.softErrorDomain),
       mem_(mem), cfg_(cfg),
-      idxCache_(cfg.indexCacheLines, cfg.indexesPerLine,
-                cfg.indexReplacement, cfg.indexCacheSets),
+      idxCache_(cfg.indexCacheLines, cfg.indexesPerLine),
       statMisses_(stats.scalar("decomp.misses")),
       statBufferHits_(stats.scalar("decomp.buffer_hits")),
       statIdxLookups_(stats.scalar("decomp.index_lookups")),
       statIdxHits_(stats.scalar("decomp.index_hits")),
-      statInsnsDecoded_(stats.scalar("decomp.insns_decoded")),
-      statPfIssued_(stats.scalar("decomp.prefetch_issued")),
-      statPfHits_(stats.scalar("decomp.prefetch_hits"))
+      statInsnsDecoded_(stats.scalar("decomp.insns_decoded"))
 {
     cps_assert(cfg.decodeRate >= 1 && cfg.decodeRate <= kBlockInsns,
                "decode rate %u out of range", cfg.decodeRate);
-    cps_assert(cfg.prefetch == PrefetchKind::None || cfg.prefetchDepth >= 1,
-               "prefetch depth must be at least 1");
     cps_assert(!cfg.softErrorDomain ||
                    &cfg.softErrorDomain->memory() == &img,
                "soft-error domain wraps a different image than the model");
-    unsigned pf_slots =
-        cfg.prefetch == PrefetchKind::None ? 0 : cfg.prefetchDepth;
-    buffers_.resize(1 + pf_slots);
 }
 
 void
 DecompressorModel::reset()
 {
-    for (BlockBuffer &b : buffers_)
-        b = BlockBuffer{};
-    pfRotor_ = 0;
-    havePrevReq_ = false;
-    prevReqFlat_ = 0;
-    lastStride_ = 0;
-    strideConf_ = 0;
-    engineBusyUntil_ = 0;
+    buffer_ = BlockBuffer{};
     idxCache_.invalidateAll();
 }
 
 /**
- * Bursts one block's code and serially decodes it at the configured
- * rate, no earlier than @p idx_ready (index available) and the engine
- * becoming free. Returns per-instruction ready cycles and advances
- * engineBusyUntil_.
+ * Bursts one block's code, starting once the index entry is available
+ * at @p idx_ready, and serially decodes it at the configured rate.
+ * Returns per-instruction ready cycles.
  */
 std::array<Cycle, kBlockInsns>
 DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
-                                BurstResult *code_out)
+                                BurstResult &code_out)
 {
     // Burst-read the compressed block. The burst starts at the bus
     // boundary containing the block's first byte.
@@ -75,8 +59,7 @@ DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
             softErrorDetail_ = r.error();
             std::array<Cycle, kBlockInsns> ready;
             ready.fill(idx_ready + 1);
-            if (code_out)
-                *code_out = BurstResult{};
+            code_out = BurstResult{};
             return ready;
         }
         blkp = *r;
@@ -124,16 +107,10 @@ DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
     // Serial decode at decodeRate instructions per cycle, overlapped
     // with the arriving beats. An instruction decoded during cycle t
     // is available (forwarded) at t; its input bits must have arrived
-    // by t-1. The single decode engine handles one block at a time, so
-    // speculative decodes queue behind whatever it is still working on.
+    // by t-1. Misses block, so the engine is always free here.
     std::array<Cycle, kBlockInsns> ready;
     unsigned decoded = 0;
-    // Engine occupancy only matters once speculative decodes can be in
-    // flight; without a prefetcher there is a single blocking miss at a
-    // time and the paper's timing is reproduced exactly.
-    Cycle busy =
-        cfg_.prefetch == PrefetchKind::None ? 0 : engineBusyUntil_;
-    Cycle t = std::max(code.beatArrival.front() + check_lat, busy);
+    Cycle t = code.beatArrival.front() + check_lat;
     while (decoded < kBlockInsns) {
         // Skip idle cycles while waiting for data.
         t = std::max(t + 1, arrival[decoded] + 1);
@@ -146,66 +123,8 @@ DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
         }
     }
     statInsnsDecoded_.inc(kBlockInsns);
-    engineBusyUntil_ = ready[kBlockInsns - 1];
-    if (code_out)
-        *code_out = std::move(code);
+    code_out = std::move(code);
     return ready;
-}
-
-/**
- * Predicts the blocks to fetch after a demand for flat block @p flat
- * and speculatively decodes them into the prefetch buffers. Prefetch
- * bursts share the single memory channel (they queue behind demand
- * traffic) and the decode engine serializes behind the demand decode.
- */
-void
-DecompressorModel::issuePrefetches(u32 flat, Cycle now)
-{
-    s64 stride = 1;
-    unsigned depth = cfg_.prefetchDepth;
-    if (cfg_.prefetch == PrefetchKind::Stride) {
-        // Only act on a twice-confirmed non-zero stride.
-        if (strideConf_ < 2 || lastStride_ == 0)
-            return;
-        stride = lastStride_;
-    }
-
-    for (unsigned k = 1; k <= depth; ++k) {
-        s64 pred = static_cast<s64>(flat) + stride * static_cast<s64>(k);
-        if (pred < 0 || pred >= static_cast<s64>(img_.numBlocks()))
-            continue;
-        u32 pgroup = static_cast<u32>(pred) / kBlocksPerGroup;
-        u32 pblock = static_cast<u32>(pred) % kBlocksPerGroup;
-        bool resident = false;
-        for (const BlockBuffer &b : buffers_)
-            if (b.valid && b.group == pgroup && b.block == pblock)
-                resident = true;
-        if (resident)
-            continue;
-
-        // Index lookup for the predicted group, same path as demand.
-        Cycle idx_ready = now;
-        if (!cfg_.perfectIndexCache) {
-            statIdxLookups_.inc();
-            if (idxCache_.access(pgroup)) {
-                statIdxHits_.inc();
-            } else {
-                unsigned bytes =
-                    cfg_.burstIndexFill ? 4 * cfg_.indexesPerLine : 4;
-                BurstResult r = mem_.burstRead(now, bytes);
-                idx_ready = r.done;
-                idxCache_.fill(pgroup);
-            }
-        }
-
-        BlockBuffer &slot = buffers_[1 + (pfRotor_++ % depth)];
-        slot.valid = true;
-        slot.prefetched = true;
-        slot.group = pgroup;
-        slot.block = pblock;
-        slot.ready = decodeTiming(pgroup, pblock, idx_ready, nullptr);
-        statPfIssued_.inc();
-    }
 }
 
 LineFill
@@ -217,47 +136,19 @@ DecompressorModel::handleMiss(Addr line_addr, Cycle now)
     u32 insn_idx = img_.insnIndexOf(line_addr);
     u32 group = insn_idx / kGroupInsns;
     u32 block = (insn_idx / kBlockInsns) % kBlocksPerGroup;
-    u32 flat = insn_idx / kBlockInsns;
     unsigned half = (insn_idx % kBlockInsns) / kLineWords;
 
     trace_ = MissTrace{};
     trace_.requestCycle = now;
     trace_.criticalInsn = half * kLineWords;
 
-    // Train the prefetcher on transitions of the demanded block (the
-    // second line of a block must not look like a new stride sample).
-    bool new_block = false;
-    if (cfg_.prefetch != PrefetchKind::None &&
-        (!havePrevReq_ || prevReqFlat_ != flat)) {
-        new_block = true;
-        if (havePrevReq_) {
-            s64 stride =
-                static_cast<s64>(flat) - static_cast<s64>(prevReqFlat_);
-            if (stride == lastStride_) {
-                ++strideConf_;
-            } else {
-                lastStride_ = stride;
-                strideConf_ = 1;
-            }
-        }
-        havePrevReq_ = true;
-        prevReqFlat_ = flat;
-    }
-
     LineFill fill;
 
     // 1. Output-buffer probe: the previous miss always decompressed the
     //    whole 16-instruction block, so the block's other line (and
     //    re-requests of the same line) stream straight out of the buffer.
-    //    With a prefetcher, speculatively decoded blocks hit here too.
-    for (BlockBuffer &buf : buffers_) {
-        if (!buf.valid || buf.group != group || buf.block != block)
-            continue;
+    if (buffer_.valid && buffer_.group == group && buffer_.block == block) {
         statBufferHits_.inc();
-        if (buf.prefetched) {
-            statPfHits_.inc();
-            buf.prefetched = false; // count each useful prefetch once
-        }
         trace_.bufferHit = true;
         // Words stream out of the buffer at the decompressor's output
         // rate (its port runs at the decode rate), and no earlier than
@@ -266,13 +157,11 @@ DecompressorModel::handleMiss(Addr line_addr, Cycle now)
         for (unsigned w = 0; w < kLineWords; ++w) {
             Cycle port = now + 1 + w / cfg_.decodeRate;
             fill.wordReady[w] =
-                std::max(port, buf.ready[half * kLineWords + w]);
+                std::max(port, buffer_.ready[half * kLineWords + w]);
             done = std::max(done, fill.wordReady[w]);
         }
         fill.fillDone = done;
         fill.fromBuffer = true;
-        if (new_block)
-            issuePrefetches(flat, now);
         return fill;
     }
 
@@ -298,24 +187,19 @@ DecompressorModel::handleMiss(Addr line_addr, Cycle now)
     }
     trace_.indexDone = idx_ready;
 
-    // 3+4. Burst the compressed block and decode it serially (the
-    //      demand decode preempts nothing: the engine is free by
-    //      construction on the no-prefetch path, and queues behind any
-    //      in-flight speculative decode otherwise).
+    // 3+4. Burst the compressed block and decode it serially.
     BurstResult code;
     std::array<Cycle, kBlockInsns> ready =
-        decodeTiming(group, block, idx_ready, &code);
+        decodeTiming(group, block, idx_ready, code);
     trace_.codeBeats = code.beatArrival;
     trace_.decodeDone = ready;
 
-    // 5. Fill the demand output buffer with the complete block
-    //    (prefetch of the block's other line) and report the requested
-    //    line's words.
-    buffers_[0].valid = true;
-    buffers_[0].prefetched = false;
-    buffers_[0].group = group;
-    buffers_[0].block = block;
-    buffers_[0].ready = ready;
+    // 5. Fill the output buffer with the complete block (prefetch of
+    //    the block's other line) and report the requested line's words.
+    buffer_.valid = true;
+    buffer_.group = group;
+    buffer_.block = block;
+    buffer_.ready = ready;
 
     Cycle done = now;
     for (unsigned w = 0; w < kLineWords; ++w) {
@@ -323,8 +207,6 @@ DecompressorModel::handleMiss(Addr line_addr, Cycle now)
         done = std::max(done, fill.wordReady[w]);
     }
     fill.fillDone = done;
-    if (new_block)
-        issuePrefetches(flat, now);
     return fill;
 }
 

@@ -4,11 +4,11 @@
  * miss path (paper §3.2 and Figure 2).
  *
  * Modelled behaviours:
- *   - index-table lookup in main memory, with an index cache probed in
- *     parallel with the L1 (a hit adds no latency). The paper's baseline
- *     CodePack caches the single last-used entry (1 line x 1 index);
- *     the optimized model uses 64 lines x 4 indexes, and a "perfect"
- *     mode never misses (Table 7);
+ *   - index-table lookup in main memory, with a fully-associative
+ *     true-LRU index cache probed in parallel with the L1 (a hit adds
+ *     no latency). The paper's baseline CodePack caches the single
+ *     last-used entry (1 line x 1 index); the optimized model uses 64
+ *     lines x 4 indexes, and a "perfect" mode never misses (Table 7);
  *   - burst read of the compressed block from main memory;
  *   - serial decode at a configurable rate (1/2/16 instructions per
  *     cycle, Table 8), overlapped with the arriving beats;
@@ -34,33 +34,13 @@ namespace cps
 namespace codepack
 {
 
-/** Modeled block prefetcher ahead of the decompressor (ablation knob). */
-enum class PrefetchKind : u8
-{
-    None,      ///< the paper's design: output buffer only
-    NextBlock, ///< always predict the next sequential block(s)
-    Stride,    ///< confirmed-stride predictor over the block sequence
-};
-
-/** Short stable spelling ("none"/"next"/"stride"). */
-inline const char *
-prefetchKindName(PrefetchKind k)
-{
-    switch (k) {
-      case PrefetchKind::None:
-        return "none";
-      case PrefetchKind::NextBlock:
-        return "next";
-      case PrefetchKind::Stride:
-        return "stride";
-    }
-    return "?";
-}
-
 /** Decompressor hardware configuration. */
 struct DecompressorConfig
 {
-    /** Index cache geometry; the baseline is the last-used entry. */
+    /**
+     * Index cache geometry (fully associative, true LRU); the baseline
+     * is the last-used entry.
+     */
     unsigned indexCacheLines = 1;
     unsigned indexesPerLine = 1;
     /** A perfect index cache never misses (index table in on-chip ROM). */
@@ -69,14 +49,6 @@ struct DecompressorConfig
     bool burstIndexFill = false;
     /** Decode bandwidth in instructions per cycle (1, 2, ... 16). */
     unsigned decodeRate = 1;
-    /** Block prefetcher; None reproduces the paper's timing exactly. */
-    PrefetchKind prefetch = PrefetchKind::None;
-    /** Blocks predicted per trigger; also the prefetch-buffer count. */
-    unsigned prefetchDepth = 1;
-    /** Index-cache victim policy (ablation; the paper uses true LRU). */
-    IndexReplacement indexReplacement = IndexReplacement::Lru;
-    /** Index-cache set count; 1 = fully associative (the paper). */
-    unsigned indexCacheSets = 1;
 
     /**
      * Per-block protection checked on every fetched block. None keeps
@@ -121,7 +93,8 @@ struct LineFill
     std::array<Cycle, kLineWords> wordReady{};
     /** When the complete line has been delivered. */
     Cycle fillDone = 0;
-    /** The request was served from the output buffer (prefetch hit). */
+    /** The request was served from the output buffer (the block's
+     *  other line, or the same line again). */
     bool fromBuffer = false;
 };
 
@@ -192,36 +165,22 @@ class DecompressorModel
     DecompressorConfig cfg_;
     IndexCache idxCache_;
 
-    /**
-     * Output buffers. Slot 0 is the demand buffer (the paper's single
-     * 16-instruction output buffer); slots 1..prefetchDepth hold
-     * speculatively decoded blocks when a prefetcher is configured.
-     */
+    /** The paper's single 16-instruction output buffer: the block the
+     *  last miss decompressed, with each instruction's ready cycle. */
     struct BlockBuffer
     {
         bool valid = false;
-        bool prefetched = false; ///< speculative fill, not yet claimed
         u32 group = 0;
         u32 block = 0;
         std::array<Cycle, kBlockInsns> ready{};
     };
-    std::vector<BlockBuffer> buffers_;
-    unsigned pfRotor_ = 0; ///< round-robin prefetch-slot allocator
+    BlockBuffer buffer_;
 
-    // Stride predictor over the demanded flat-block sequence.
-    bool havePrevReq_ = false;
-    u32 prevReqFlat_ = 0;
-    s64 lastStride_ = 0;
-    unsigned strideConf_ = 0;
-    /** When the serial decode engine last finished (prefetches queue). */
-    Cycle engineBusyUntil_ = 0;
-
-    /** Decodes one block's timing: burst + serial decode from @p start. */
+    /** Decodes one block's timing: burst + serial decode once the
+     *  index entry is ready at @p idx_ready. */
     std::array<Cycle, kBlockInsns> decodeTiming(u32 group, u32 block,
                                                 Cycle idx_ready,
-                                                BurstResult *code_out);
-    /** Issues speculative decodes predicted after demanding @p flat. */
-    void issuePrefetches(u32 flat, Cycle now);
+                                                BurstResult &code_out);
 
     MissTrace trace_;
 
@@ -233,8 +192,6 @@ class DecompressorModel
     Counter &statIdxLookups_;
     Counter &statIdxHits_;
     Counter &statInsnsDecoded_;
-    Counter &statPfIssued_;
-    Counter &statPfHits_;
 };
 
 } // namespace codepack

@@ -31,7 +31,7 @@ constexpr u32 kFrameResult = 1;
 constexpr size_t kMaxResultPayload = 1u << 20;
 
 /** Envelope format version (bump on any field change). */
-constexpr u8 kEnvelopeVersion = 2;
+constexpr u8 kEnvelopeVersion = 3;
 
 /**
  * The retry backoff doubles per attempt at most this many times, then
@@ -296,8 +296,6 @@ encodeRunOutcome(const RunOutcome &out)
     put64(bytes, out.icacheMisses);
     put64(bytes, out.bufferHits);
     put64(bytes, out.missLatencyTotal);
-    put64(bytes, out.prefetchIssued);
-    put64(bytes, out.prefetchHits);
     return bytes;
 }
 
@@ -328,8 +326,6 @@ decodeRunOutcomeChecked(const std::vector<u8> &bytes)
     out.icacheMisses = cur.get64();
     out.bufferHits = cur.get64();
     out.missLatencyTotal = cur.get64();
-    out.prefetchIssued = cur.get64();
-    out.prefetchHits = cur.get64();
     if (!cur.ok() || cur.remaining() != 0) {
         return decodeErrorAtByte(DecodeStatus::Truncated, cur.pos(),
                                  "result envelope truncated or oversized");
@@ -348,11 +344,11 @@ cellKey(const RunRequest &req)
     // the soft-error domain pointer — a run with live fault injection
     // is not cacheable and must not go through the resume store.
     std::string key = strfmt(
-        "cell4;insns=%llu;machine=%s;"
+        "cell5;insns=%llu;machine=%s;"
         "pipe=%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u;"
         "ic=%u,%u,%u,%u;dc=%u,%u,%u,%u;mem=%u,%llu,%llu;model=%u;"
-        "decomp=%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u;"
-        "sw=%llu,%llu,%llu,%llu,%u,%u;",
+        "decomp=%u,%u,%u,%u,%u,%u,%u,%u;"
+        "sw=%llu,%llu,%llu,%llu;",
         static_cast<unsigned long long>(req.maxInsns), c.name.c_str(),
         p.inOrder ? 1u : 0u, p.width, p.fetchQueue, p.ruuSize, p.lsqSize,
         p.numAlu, p.numMult, p.numMemPorts, p.numFpAlu, p.numFpMult,
@@ -368,17 +364,12 @@ cellKey(const RunRequest &req)
         c.decomp.indexCacheLines, c.decomp.indexesPerLine,
         c.decomp.perfectIndexCache ? 1u : 0u,
         c.decomp.burstIndexFill ? 1u : 0u, c.decomp.decodeRate,
-        static_cast<unsigned>(c.decomp.prefetch), c.decomp.prefetchDepth,
-        static_cast<unsigned>(c.decomp.indexReplacement),
-        c.decomp.indexCacheSets,
         static_cast<unsigned>(c.decomp.protect), c.decomp.eccCheckCycles,
         c.decomp.eccCorrectCycles,
         static_cast<unsigned long long>(c.software.trapOverhead),
         static_cast<unsigned long long>(c.software.cyclesPerInsn),
         static_cast<unsigned long long>(c.software.copyCyclesPerInsn),
-        static_cast<unsigned long long>(c.software.returnOverhead),
-        static_cast<unsigned>(c.software.prefetch),
-        c.software.prefetchDepth);
+        static_cast<unsigned long long>(c.software.returnOverhead));
     // The watchdog can change a cell's outcome (a stall aborts), so its
     // knobs are inputs too.
     key += strfmt("wd=%llu,%u;",

@@ -222,10 +222,6 @@ runMachine(const BenchProgram &bench, const MachineConfig &cfg,
     out.icacheMisses = machine.stats().value("icache.misses");
     out.bufferHits = machine.stats().value("decomp.buffer_hits");
     out.missLatencyTotal = machine.stats().value("icache.miss_latency_total");
-    out.prefetchIssued = machine.stats().value("decomp.prefetch_issued") +
-                         machine.stats().value("swdecomp.prefetch_issued");
-    out.prefetchHits = machine.stats().value("decomp.prefetch_hits") +
-                       machine.stats().value("swdecomp.prefetch_hits");
     return out;
 }
 

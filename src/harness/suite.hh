@@ -137,8 +137,9 @@ struct RunOutcome
     u64 icacheMisses = 0;
     u64 bufferHits = 0;
     u64 missLatencyTotal = 0; ///< sum of critical-word miss latencies
-    /** Modeled prefetcher activity (decomp.* or swdecomp.*, whichever
-     *  code model ran; zero under PrefetchKind::None). */
+    /** Always 0: the simulated decompressor has no prefetcher.
+     *  perfbench/cpsbench.cc still assigns and digests both fields,
+     *  so they go with its next change. */
     u64 prefetchIssued = 0;
     u64 prefetchHits = 0;
 };

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <set>
 #include <thread>
 #include <unistd.h>
 
@@ -287,21 +288,69 @@ TEST(CellKey, SensitiveToEveryRunParameter)
     RunRequest base = benchRequest();
     const std::string key = harness::cellKey(base);
 
+    // One edit per machine-config field the key encodes. Each alone
+    // must change the key, and no two edits may give the same key: a
+    // field the key drops would let CPS_RESUME=1 serve a stale cell.
+    struct Edit
+    {
+        const char *field;
+        void (*apply)(MachineConfig &);
+    };
+#define CPS_EDIT(stmt) Edit{#stmt, [](MachineConfig &c) { stmt; }}
+    const Edit kEdits[] = {
+        CPS_EDIT(c.name += "'"),
+        CPS_EDIT(c.pipeline.inOrder = !c.pipeline.inOrder),
+        CPS_EDIT(c.pipeline.width += 1),
+        CPS_EDIT(c.pipeline.fetchQueue += 1),
+        CPS_EDIT(c.pipeline.ruuSize += 1),
+        CPS_EDIT(c.pipeline.lsqSize += 1),
+        CPS_EDIT(c.pipeline.numAlu += 1),
+        CPS_EDIT(c.pipeline.numMult += 1),
+        CPS_EDIT(c.pipeline.numMemPorts += 1),
+        CPS_EDIT(c.pipeline.numFpAlu += 1),
+        CPS_EDIT(c.pipeline.numFpMult += 1),
+        CPS_EDIT(c.pipeline.predictor = PredictorKind::Hybrid1k),
+        CPS_EDIT(c.pipeline.mispredictExtra += 1),
+        CPS_EDIT(c.pipeline.watchdogInterval += 1),
+        CPS_EDIT(c.pipeline.watchdogStallLimit += 1),
+        CPS_EDIT(c.icache.sizeBytes *= 2),
+        CPS_EDIT(c.icache.lineBytes *= 2),
+        CPS_EDIT(c.icache.assoc *= 2),
+        CPS_EDIT(c.icache.policy = ReplPolicy::Fifo),
+        CPS_EDIT(c.dcache.sizeBytes *= 2),
+        CPS_EDIT(c.dcache.lineBytes *= 2),
+        CPS_EDIT(c.dcache.assoc *= 2),
+        CPS_EDIT(c.dcache.policy = ReplPolicy::Fifo),
+        CPS_EDIT(c.mem.busWidthBits *= 2),
+        CPS_EDIT(c.mem.firstAccess += 1),
+        CPS_EDIT(c.mem.beatRate += 1),
+        CPS_EDIT(c.codeModel = CodeModel::CodePack),
+        CPS_EDIT(c.decomp.indexCacheLines += 1),
+        CPS_EDIT(c.decomp.indexesPerLine += 1),
+        CPS_EDIT(c.decomp.perfectIndexCache = true),
+        CPS_EDIT(c.decomp.burstIndexFill = true),
+        CPS_EDIT(c.decomp.decodeRate += 1),
+        CPS_EDIT(c.decomp.protect = ProtectKind::Crc8),
+        CPS_EDIT(c.decomp.eccCheckCycles += 1),
+        CPS_EDIT(c.decomp.eccCorrectCycles += 1),
+        CPS_EDIT(c.software.trapOverhead += 1),
+        CPS_EDIT(c.software.cyclesPerInsn += 1),
+        CPS_EDIT(c.software.copyCyclesPerInsn += 1),
+        CPS_EDIT(c.software.returnOverhead += 1),
+    };
+#undef CPS_EDIT
+    std::set<std::string> seen{key};
+    for (const Edit &e : kEdits) {
+        RunRequest req = base;
+        e.apply(req.cfg);
+        const std::string k = harness::cellKey(req);
+        EXPECT_NE(k, key) << e.field;
+        EXPECT_TRUE(seen.insert(k).second) << e.field;
+    }
+
     RunRequest insns = base;
     insns.maxInsns += 1;
     EXPECT_NE(harness::cellKey(insns), key);
-
-    RunRequest cache = base;
-    cache.cfg.icache.sizeBytes *= 2;
-    EXPECT_NE(harness::cellKey(cache), key);
-
-    RunRequest model = base;
-    model.cfg.codeModel = CodeModel::CodePack;
-    EXPECT_NE(harness::cellKey(model), key);
-
-    RunRequest dog = base;
-    dog.cfg.pipeline.watchdogStallLimit += 1;
-    EXPECT_NE(harness::cellKey(dog), key);
 
     RunRequest bench = base;
     bench.bench = &Suite::instance().get("go");

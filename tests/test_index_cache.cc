@@ -114,85 +114,5 @@ TEST(IndexCache, CapacityRetainsWorkingSet)
         EXPECT_TRUE(ic.access(g)) << g;
 }
 
-TEST(IndexCache, FifoIgnoresAccessRecency)
-{
-    // Under LRU, touching line 1 protects it from the next eviction;
-    // under FIFO it is still the oldest fill and goes first.
-    IndexCache lru(2, 1, IndexReplacement::Lru);
-    lru.fill(1);
-    lru.fill(2);
-    EXPECT_TRUE(lru.access(1));
-    lru.fill(3); // evicts 2
-    EXPECT_TRUE(lru.access(1));
-    EXPECT_FALSE(lru.access(2));
-
-    IndexCache fifo(2, 1, IndexReplacement::Fifo);
-    fifo.fill(1);
-    fifo.fill(2);
-    EXPECT_TRUE(fifo.access(1));
-    fifo.fill(3); // evicts 1 despite the touch
-    EXPECT_FALSE(fifo.access(1));
-    EXPECT_TRUE(fifo.access(2));
-    EXPECT_TRUE(fifo.access(3));
-}
-
-TEST(IndexCache, RandomReplacementIsDeterministic)
-{
-    // Two caches with the same seed replay identical victim sequences,
-    // and invalidateAll() rewinds the sequence.
-    auto missPattern = [](IndexCache &ic) {
-        std::vector<bool> hits;
-        for (u32 g = 0; g < 512; ++g) {
-            u32 group = (g * 7) % 97;
-            bool hit = ic.access(group);
-            hits.push_back(hit);
-            if (!hit)
-                ic.fill(group);
-        }
-        return hits;
-    };
-    IndexCache a(8, 1, IndexReplacement::Random);
-    IndexCache b(8, 1, IndexReplacement::Random);
-    std::vector<bool> first = missPattern(a);
-    EXPECT_EQ(first, missPattern(b));
-    a.invalidateAll();
-    EXPECT_EQ(first, missPattern(a));
-}
-
-TEST(IndexCache, SetAssociativePartitionsByTag)
-{
-    // 4 lines in 2 sets: tags 0,2,4,... compete for one set and
-    // 1,3,5,... for the other. Three even tags overflow their 2-way
-    // set even though an odd-set way is idle.
-    IndexCache ic(4, 1, IndexReplacement::Lru, 2);
-    EXPECT_EQ(ic.numSets(), 2u);
-    ic.fill(0);
-    ic.fill(2);
-    ic.fill(1); // other set, must not relieve the even set
-    ic.fill(4); // evicts 0 (LRU within the even set)
-    EXPECT_FALSE(ic.access(0));
-    EXPECT_TRUE(ic.access(2));
-    EXPECT_TRUE(ic.access(4));
-    EXPECT_TRUE(ic.access(1));
-}
-
-TEST(IndexCache, FullyAssociativeDefaultUnchangedBySets)
-{
-    // sets=1 must behave exactly like the original fully-associative
-    // cache on a capacity-conflict pattern.
-    IndexCache flat(4, 1);
-    IndexCache one_set(4, 1, IndexReplacement::Lru, 1);
-    for (u32 g = 0; g < 64; ++g) {
-        u32 group = (g * 5) % 11;
-        bool h1 = flat.access(group);
-        bool h2 = one_set.access(group);
-        ASSERT_EQ(h1, h2) << "step " << g;
-        if (!h1) {
-            flat.fill(group);
-            one_set.fill(group);
-        }
-    }
-}
-
 } // namespace
 } // namespace cps
