@@ -1,84 +1,9 @@
 /**
  * @file
- * Reproduces Table 5: instructions per cycle for Native, baseline
- * CodePack and optimized CodePack on the three Table 2 machines. Also
- * prints the Table 2 machine configurations for reference.
- *
- * Paper shape: the performance loss of baseline CodePack vs native is
- * < 14% (1-issue), < 18% (4-issue), < 13% (8-issue); the optimized
- * decompressor is within a few percent of native and sometimes faster;
- * mpeg2enc/pegwit barely move.
+ * `cpstables table5`, under the name perfbench builds against the
+ * harness library alone to cross-check its Table 5.
  */
 
-#include <cstdio>
+#include "harness/tables.hh"
 
-#include "common/table.hh"
-#include "harness/engine.hh"
-
-using namespace cps;
-
-namespace
-{
-
-void
-printTable2()
-{
-    TextTable t;
-    t.setTitle("Table 2: Simulated architectures (configuration)");
-    t.addHeader({"Parameter", "1-issue", "4-issue", "8-issue"});
-    t.addRow({"issue", "1 in-order", "4 out-of-order", "8 out-of-order"});
-    t.addRow({"RUU entries", "8", "64", "128"});
-    t.addRow({"load/store queue", "4", "32", "64"});
-    t.addRow({"int ALUs", "1", "4", "8"});
-    t.addRow({"mem ports", "1", "2", "2"});
-    t.addRow({"branch pred", "bimodal 2048", "gshare 14-bit",
-              "hybrid 1024-meta"});
-    t.addRow({"L1 I-cache", "8KB 32B 2-way", "16KB 32B 2-way",
-              "32KB 32B 2-way"});
-    t.addRow({"L1 D-cache", "8KB 16B 2-way", "16KB 16B 2-way",
-              "32KB 16B 2-way"});
-    t.addRow({"memory", "10 cyc, 2 cyc rate, 64-bit", "same", "same"});
-    t.print();
-    std::printf("\n");
-}
-
-} // namespace
-
-int
-main()
-{
-    printTable2();
-
-    u64 insns = Suite::runInsns();
-    Suite &suite = Suite::instance();
-    suite.pregenerate();
-
-    TextTable t;
-    t.setTitle("Table 5: Instructions per cycle");
-    t.addHeader({"Bench", "1i Native", "1i CodePack", "1i Optimized",
-                 "4i Native", "4i CodePack", "4i Optimized",
-                 "8i Native", "8i CodePack", "8i Optimized"});
-
-    MachineConfig machines[] = {baseline1Issue(), baseline4Issue(),
-                                baseline8Issue()};
-
-    harness::Matrix mat;
-    for (const std::string &name : suite.names())
-        for (const MachineConfig &m : machines)
-            for (CodeModel model :
-                 {CodeModel::Native, CodeModel::CodePack,
-                  CodeModel::CodePackOptimized})
-                mat.add(suite.get(name), m.withCodeModel(model), insns);
-    mat.run();
-
-    for (const std::string &name : suite.names()) {
-        std::vector<std::string> row{name};
-        for (size_t i = 0; i < 9; ++i)
-            row.push_back(mat.fmtNext([](const RunOutcome &o) {
-                return TextTable::fmt(o.result.ipc(), 3);
-            }));
-        t.addRow(row);
-    }
-    t.print();
-    return mat.exitSummary();
-}
+int main() { return cps::harness::runTables({"table5"}); }

@@ -48,9 +48,7 @@ const ArtifactCache &
 ArtifactCache::instance()
 {
     static const ArtifactCache cache = [] {
-        bool enabled = true;
-        if (const char *env = std::getenv("CPS_ARTIFACT_CACHE"))
-            enabled = std::string(env) != "0";
+        const bool enabled = envFlag("CPS_ARTIFACT_CACHE", true);
         std::string dir = ".cps-cache";
         if (const char *env = std::getenv("CPS_CACHE_DIR"))
             if (*env != '\0')

@@ -156,6 +156,19 @@ envUnsigned(const char *name, u64 fallback, u64 min, u64 max)
     return fallback;
 }
 
+bool
+envFlag(const char *name, bool fallback)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return fallback;
+    const std::string value = env;
+    if (value == "0" || value == "1")
+        return value == "1";
+    envWarnOnce(name, env, "0 or 1");
+    return fallback;
+}
+
 u64
 parseUnsignedOption(const char *option, const std::string &value, u64 min,
                     u64 max, int base)

@@ -63,6 +63,14 @@ void envWarnOnce(const char *name, const char *value,
 u64 envUnsigned(const char *name, u64 fallback, u64 min, u64 max);
 
 /**
+ * The on/off environment knob @p name: "1" means on and "0" off. Unset
+ * means @p fallback. Anything else — empty, "yes", "2" — warns once
+ * (envWarnOnce) and also means @p fallback, so a misspelt switch never
+ * silently reads as on. Read afresh on every call.
+ */
+bool envFlag(const char *name, bool fallback);
+
+/**
  * The value of command-line option @p option as a whole unsigned number
  * in [@p min, @p max]: decimal digits only, or with @p base 0 also
  * strtoull's 0x-hex and 0-octal forms. Anything else — empty, signed,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "logging.hh"
 
@@ -122,8 +121,7 @@ TextTable::renderCsv() const
 void
 TextTable::print() const
 {
-    const char *csv = std::getenv("CPS_CSV");
-    std::string s = (csv && *csv) ? renderCsv() : render();
+    std::string s = envFlag("CPS_CSV", false) ? renderCsv() : render();
     std::fwrite(s.data(), 1, s.size(), stdout);
     std::fflush(stdout);
 }

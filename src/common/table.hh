@@ -45,9 +45,9 @@ class TextTable
     std::string renderCsv() const;
 
     /**
-     * Prints the rendered table to stdout. When the CPS_CSV environment
-     * variable is set (non-empty), prints CSV instead, so bench output
-     * can feed plotting scripts directly.
+     * Prints the rendered table to stdout. With CPS_CSV=1 (see
+     * envFlag) it prints CSV instead, so bench output can feed
+     * plotting scripts directly.
      */
     void print() const;
 

@@ -270,8 +270,7 @@ CellRunnerConfig::fromEnv()
 {
     static const CellRunnerConfig cached = [] {
         CellRunnerConfig cfg;
-        if (const char *env = std::getenv("CPS_ISOLATE"))
-            cfg.isolate = std::string(env) != "0";
+        cfg.isolate = envFlag("CPS_ISOLATE", false);
         cfg.timeoutMs = static_cast<long>(
             envUnsigned("CPS_CELL_TIMEOUT_MS", 0, 0, 1ull << 40));
         return cfg;

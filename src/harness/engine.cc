@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -43,11 +42,8 @@ constexpr int kTestExitCode = 42;
 const ArtifactCache &
 resumeStore()
 {
-    static const ArtifactCache store = [] {
-        const char *env = std::getenv("CPS_RESUME");
-        return ArtifactCache(ArtifactCache::instance().dir(),
-                             env != nullptr && std::string(env) != "0");
-    }();
+    static const ArtifactCache store(ArtifactCache::instance().dir(),
+                                     envFlag("CPS_RESUME", false));
     return store;
 }
 

@@ -110,9 +110,20 @@ class Matrix
     void
     run(unsigned threads = 0)
     {
-        cells_ = runMatrixCells(requests_, threads);
+        setCells(runMatrixCells(requests_, threads));
+    }
+
+    /** Takes one outcome per queued request, in submission order, in
+     *  place of run() (a table plan runs several matrices as one). */
+    void
+    setCells(std::vector<CellOutcome> cells)
+    {
+        cells_ = std::move(cells);
         cursor_ = 0;
     }
+
+    /** The queued requests, in submission order. */
+    const std::vector<RunRequest> &requests() const { return requests_; }
 
     /** Number of queued requests. */
     size_t size() const { return requests_.size(); }

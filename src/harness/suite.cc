@@ -1,7 +1,5 @@
 #include "suite.hh"
 
-#include <cstdlib>
-
 #include "asmkit/objfile.hh"
 #include "codepack/imagefile.hh"
 #include "common/logging.hh"
@@ -195,10 +193,7 @@ Suite::traceInsns()
 bool
 Suite::replayEnabled()
 {
-    static const bool cached = [] {
-        const char *env = std::getenv("CPS_REPLAY");
-        return env == nullptr || std::string(env) != "0";
-    }();
+    static const bool cached = envFlag("CPS_REPLAY", true);
     return cached;
 }
 

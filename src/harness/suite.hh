@@ -83,8 +83,8 @@ class Suite
     static u64 traceInsns();
 
     /**
-     * Whether timed runs replay pregenerated traces (CPS_REPLAY; any
-     * value but "0" — default — enables). Disabling also skips
+     * Whether timed runs replay pregenerated traces (CPS_REPLAY, on by
+     * default; see envFlag). Disabling also skips
      * recording, so CPS_REPLAY=0 restores the pre-trace behaviour.
      */
     static bool replayEnabled();

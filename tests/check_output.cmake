@@ -1,25 +1,29 @@
-# Runs one binary and checks what it printed. Fails if the binary exits
-# nonzero, if its stdout differs from GOLDEN (when given), or if its
-# stderr followed by its stdout does not match the regex EXPECT (when
-# given). The binary inherits the test's environment (set it with the
-# ENVIRONMENT test property).
+# Runs one binary and checks what it printed. Fails if the binary's
+# exit code is not RC (0 unless given), if its stdout differs from
+# GOLDEN (when given), or if its stderr followed by its stdout does not
+# match the regex EXPECT (when given). The binary inherits the test's
+# environment (set it with the ENVIRONMENT test property).
 #
 # A golden is regenerated by copying the OUT file this script writes
 # over the golden file, after reviewing the diff.
 #
 # Expects: BIN (the binary), OUT (the file that receives its stdout).
-# Optional: GOLDEN (the expected stdout), EXPECT (a regex).
+# Optional: ARGS (the binary's arguments, a list), RC (the expected exit
+# code), GOLDEN (the expected stdout), EXPECT (a regex).
 
 if (NOT BIN OR NOT OUT)
     message(FATAL_ERROR "BIN and OUT are required")
 endif()
+if (NOT RC)
+    set(RC 0)
+endif()
 
-execute_process(COMMAND ${BIN}
+execute_process(COMMAND ${BIN} ${ARGS}
     OUTPUT_FILE ${OUT}
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)
-if (NOT rc EQUAL 0)
-    message(FATAL_ERROR "${BIN} failed (rc=${rc}):\n${err}")
+if (NOT rc EQUAL RC)
+    message(FATAL_ERROR "${BIN} exited with rc=${rc}, not ${RC}:\n${err}")
 endif()
 
 if (GOLDEN)

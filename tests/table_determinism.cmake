@@ -11,27 +11,25 @@
 # prints). The golden pins the numbers themselves, so a change that
 # shifts every leg alike still fails.
 #
-# A golden is regenerated by copying the <OUT_PREFIX>_serial.txt this
+# A golden is regenerated by copying the table_det_serial.txt this
 # script writes into WORK_DIR over the golden file, after reviewing the
 # diff.
 #
 # Expects: TABLE_BIN (the binary), WORK_DIR (scratch directory), GOLDEN
 # (the expected stdout at CPS_INSNS=20000).
-# Optional: OUT_PREFIX (scratch-file prefix, default "table_det").
+# Optional: TABLE_ARGS (the binary's arguments, a list).
 
 if (NOT TABLE_BIN OR NOT WORK_DIR OR NOT GOLDEN)
     message(FATAL_ERROR "TABLE_BIN, WORK_DIR and GOLDEN are required")
 endif()
-if (NOT OUT_PREFIX)
-    set(OUT_PREFIX "table_det")
-endif()
+set(TABLE_CMD ${TABLE_BIN} ${TABLE_ARGS})
 
-set(serial_out "${WORK_DIR}/${OUT_PREFIX}_serial.txt")
-set(parallel_out "${WORK_DIR}/${OUT_PREFIX}_parallel.txt")
-set(live_out "${WORK_DIR}/${OUT_PREFIX}_live.txt")
-set(cache_cold_out "${WORK_DIR}/${OUT_PREFIX}_cache_cold.txt")
-set(cache_warm_out "${WORK_DIR}/${OUT_PREFIX}_cache_warm.txt")
-set(cache_dir "${WORK_DIR}/${OUT_PREFIX}_cache")
+set(serial_out "${WORK_DIR}/table_det_serial.txt")
+set(parallel_out "${WORK_DIR}/table_det_parallel.txt")
+set(live_out "${WORK_DIR}/table_det_live.txt")
+set(cache_cold_out "${WORK_DIR}/table_det_cache_cold.txt")
+set(cache_warm_out "${WORK_DIR}/table_det_cache_warm.txt")
+set(cache_dir "${WORK_DIR}/table_det_cache")
 
 set(ENV{CPS_INSNS} "20000")
 
@@ -40,7 +38,7 @@ set(ENV{CPS_INSNS} "20000")
 set(ENV{CPS_ARTIFACT_CACHE} "0")
 
 set(ENV{CPS_THREADS} "1")
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${serial_out}
     RESULT_VARIABLE serial_rc)
 if (NOT serial_rc EQUAL 0)
@@ -48,7 +46,7 @@ if (NOT serial_rc EQUAL 0)
 endif()
 
 set(ENV{CPS_THREADS} "8")
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${parallel_out}
     RESULT_VARIABLE parallel_rc)
 if (NOT parallel_rc EQUAL 0)
@@ -56,7 +54,7 @@ if (NOT parallel_rc EQUAL 0)
 endif()
 
 set(ENV{CPS_REPLAY} "0")
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${live_out}
     RESULT_VARIABLE live_rc)
 if (NOT live_rc EQUAL 0)
@@ -70,14 +68,14 @@ set(ENV{CPS_ARTIFACT_CACHE} "1")
 set(ENV{CPS_CACHE_DIR} "${cache_dir}")
 file(REMOVE_RECURSE ${cache_dir})
 
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${cache_cold_out}
     RESULT_VARIABLE cache_cold_rc)
 if (NOT cache_cold_rc EQUAL 0)
     message(FATAL_ERROR "cache-cold run failed (rc=${cache_cold_rc})")
 endif()
 
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${cache_warm_out}
     RESULT_VARIABLE cache_warm_rc)
 if (NOT cache_warm_rc EQUAL 0)
@@ -86,9 +84,9 @@ endif()
 
 # Isolated leg: every cell in a forked worker. The resilience layer
 # must be invisible in the output — same bytes, pure overhead.
-set(isolated_out "${WORK_DIR}/${OUT_PREFIX}_isolated.txt")
+set(isolated_out "${WORK_DIR}/table_det_isolated.txt")
 set(ENV{CPS_ISOLATE} "1")
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${isolated_out}
     RESULT_VARIABLE isolated_rc)
 if (NOT isolated_rc EQUAL 0)
@@ -103,12 +101,12 @@ unset(ENV{CPS_ISOLATE})
 # (exit 42, no cleanup — exactly what an external SIGKILL leaves
 # behind). The rerun must load the stored cells, execute only the
 # rest, and print the same bytes an uninterrupted run prints.
-set(interrupted_out "${WORK_DIR}/${OUT_PREFIX}_interrupted.txt")
-set(resumed_out "${WORK_DIR}/${OUT_PREFIX}_resumed.txt")
-set(rerun_out "${WORK_DIR}/${OUT_PREFIX}_rerun.txt")
+set(interrupted_out "${WORK_DIR}/table_det_interrupted.txt")
+set(resumed_out "${WORK_DIR}/table_det_resumed.txt")
+set(rerun_out "${WORK_DIR}/table_det_rerun.txt")
 set(ENV{CPS_RESUME} "1")
 set(ENV{CPS_TEST_EXIT_AFTER_CELLS} "5")
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${interrupted_out}
     RESULT_VARIABLE interrupted_rc)
 if (NOT interrupted_rc EQUAL 42)
@@ -117,7 +115,7 @@ if (NOT interrupted_rc EQUAL 42)
 endif()
 unset(ENV{CPS_TEST_EXIT_AFTER_CELLS})
 
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${resumed_out}
     RESULT_VARIABLE resumed_rc)
 if (NOT resumed_rc EQUAL 0)
@@ -128,7 +126,7 @@ endif()
 # A completed matrix executes no cell: rerun with the kill hook armed
 # for the first executed cell, which must never fire.
 set(ENV{CPS_TEST_EXIT_AFTER_CELLS} "1")
-execute_process(COMMAND ${TABLE_BIN}
+execute_process(COMMAND ${TABLE_CMD}
     OUTPUT_FILE ${rerun_out}
     RESULT_VARIABLE rerun_rc)
 if (NOT rerun_rc EQUAL 0)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the soft-error protection codes (SEC-DED Hamming,
- * CRC-8/16 block checks), the numeric env-knob parser and its
- * once-per-process warning.
+ * CRC-8/16 block checks), the numeric and on/off env-knob parsers and
+ * their once-per-process warning.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "common/ecc.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/table.hh"
 
 namespace cps
 {
@@ -103,6 +104,47 @@ TEST(EnvUnsigned, WarnsOnceForARejectedValue)
     EXPECT_EQ(envUnsigned(knob, 3, 0, 10), 3u);
     EXPECT_EQ(envUnsigned(knob, 3, 0, 10), 3u);
     EXPECT_EQ(warnCount(), before + 1);
+}
+
+TEST(EnvFlag, ZeroIsOffOneIsOnAnythingElseWarnsOnceAndFallsBack)
+{
+    const char *knob = "CPS_TEST_ENV_FLAG";
+    for (bool fallback : {false, true}) {
+        {
+            EnvGuard guard(knob, nullptr);
+            EXPECT_EQ(envFlag(knob, fallback), fallback);
+        }
+        {
+            EnvGuard guard(knob, "0");
+            EXPECT_FALSE(envFlag(knob, fallback));
+        }
+        {
+            EnvGuard guard(knob, "1");
+            EXPECT_TRUE(envFlag(knob, fallback));
+        }
+    }
+    unsigned long before = warnCount();
+    for (const char *bad : {"", "yes", "true", "2", "01", " 1", "on"}) {
+        EnvGuard guard(knob, bad);
+        EXPECT_FALSE(envFlag(knob, false)) << "'" << bad << "'";
+        EXPECT_TRUE(envFlag(knob, true)) << "'" << bad << "'";
+    }
+    EXPECT_EQ(warnCount(), before + 1);
+}
+
+TEST(EnvFlag, CsvZeroPrintsTheTextTable)
+{
+    TextTable t;
+    t.addHeader({"Bench", "Bytes"});
+    t.addRow({"go", "1,024"});
+    for (const std::string value : {"0", "1"}) {
+        EnvGuard guard("CPS_CSV", value.c_str());
+        testing::internal::CaptureStdout();
+        t.print();
+        EXPECT_EQ(testing::internal::GetCapturedStdout(),
+                  value == "1" ? t.renderCsv() : t.render())
+            << "CPS_CSV=" << value;
+    }
 }
 
 TEST(Crc, KnownVectors)
