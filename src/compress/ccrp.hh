@@ -8,7 +8,7 @@
  * CCRP compresses comparably but decodes much more slowly.
  *
  * This is one of the two related-work baselines used by the ablation
- * benchmark (bench_ablation_compressors).
+ * table (cpstables ablation_compressors).
  */
 
 #ifndef CPS_COMPRESS_CCRP_HH

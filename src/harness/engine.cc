@@ -132,9 +132,7 @@ Matrix::exitSummary() const
             continue;
         ++failed;
         std::fprintf(stderr, "cell %zu/%zu %s: %s\n", i, cells_.size(),
-                     requests_[i].bench->profile
-                         ? requests_[i].bench->profile->name.c_str()
-                         : "?",
+                     requests_[i].bench->profile->name.c_str(),
                      st.describe().c_str());
     }
     if (failed == 0)

@@ -56,9 +56,9 @@ class Suite
      * independent builds out across the thread pool (each profile has
      * its own RNG seed, so the result is identical to serial
      * generation; per-benchmark once-flags make repeat calls free).
-     * Table binaries that touch the whole suite call this once up
-     * front. With a warm artifact cache the builds load verified
-     * images/traces from disk instead of recomputing.
+     * Table specs that read the whole suite call this when they
+     * declare their cells. With a warm artifact cache the builds load
+     * verified images/traces from disk instead of recomputing.
      * @param threads worker count; 0 means defaultThreadCount()
      */
     void pregenerate(unsigned threads = 0);

@@ -6,6 +6,7 @@
 
 #include "codepack/timing.hh"
 #include "common/table.hh"
+#include "ext_tables.hh"
 
 namespace cps
 {
@@ -28,6 +29,7 @@ TablePrinter
 table1(Matrix &m)
 {
     Suite &suite = Suite::instance();
+    suite.pregenerate();
     for (const std::string &name : suite.names())
         m.add(suite.get(name), baseline4Issue(), Suite::runInsns());
 
@@ -70,6 +72,7 @@ table1(Matrix &m)
 TablePrinter
 table3(Matrix &)
 {
+    Suite::instance().pregenerate();
     return [](Matrix &) {
         Suite &suite = Suite::instance();
         TextTable t;
@@ -105,6 +108,7 @@ table3(Matrix &)
 TablePrinter
 table4(Matrix &)
 {
+    Suite::instance().pregenerate();
     return [](Matrix &) {
         Suite &suite = Suite::instance();
         TextTable t;
@@ -148,6 +152,7 @@ table5(Matrix &m)
     const MachineConfig machines[] = {baseline1Issue(), baseline4Issue(),
                                       baseline8Issue()};
     Suite &suite = Suite::instance();
+    suite.pregenerate();
     for (const std::string &name : suite.names())
         for (const MachineConfig &machine : machines)
             for (CodeModel model :
@@ -251,6 +256,7 @@ speedupTable(Matrix &m, std::string title, std::vector<std::string> header,
              const std::vector<SpeedupColumn> &columns)
 {
     Suite &suite = Suite::instance();
+    suite.pregenerate();
     for (const std::string &name : suite.names()) {
         for (const auto &[native, variant] : columns) {
             m.add(suite.get(name), native, Suite::runInsns());
@@ -554,18 +560,26 @@ fig2(Matrix &)
     };
 }
 
-/** The paper tables cpstables knows, in the order --all prints them. */
-struct PaperTable
+/** The tables cpstables knows, in the order --all prints them: the
+ *  paper's, then the extensions (ext_tables.hh). */
+struct NamedTable
 {
     const char *name;
     TablePrinter (*spec)(Matrix &m);
 };
 
-constexpr PaperTable kPaperTables[] = {
+constexpr NamedTable kTables[] = {
     {"table1", table1},   {"table3", table3},   {"table4", table4},
     {"table5", table5},   {"table6", table6},   {"table7", table7},
     {"table8", table8},   {"table9", table9},   {"table10", table10},
     {"table11", table11}, {"table12", table12}, {"fig2", fig2},
+    {"ablation_compressors", ablationCompressors},
+    {"ext_software_decompress", extSoftwareDecompress},
+    {"ext_prefetch", extPrefetch},
+    {"ext_miss_latency", extMissLatency},
+    {"ext_design_accounting", extDesignAccounting},
+    {"ext_replacement", extReplacement},
+    {"ext_seed_robustness", extSeedRobustness},
 };
 
 } // namespace
@@ -573,8 +587,6 @@ constexpr PaperTable kPaperTables[] = {
 PlanCounts
 runPlan(const std::vector<TableSpec> &specs, unsigned threads)
 {
-    Suite::instance().pregenerate(threads);
-
     std::vector<Matrix> matrices(specs.size());
     std::vector<TablePrinter> printers;
     for (size_t t = 0; t < specs.size(); ++t)
@@ -640,9 +652,9 @@ runTables(const std::vector<std::string> &args)
     std::vector<TableSpec> specs;
     for (const std::string &arg : args) {
         const size_t before = specs.size();
-        for (const PaperTable &pt : kPaperTables)
-            if (arg == "--all" || arg == pt.name)
-                specs.push_back(pt.spec);
+        for (const NamedTable &nt : kTables)
+            if (arg == "--all" || arg == nt.name)
+                specs.push_back(nt.spec);
         if (specs.size() == before) {
             error = "unknown table '" + arg + "'";
             specs.clear();
@@ -651,8 +663,8 @@ runTables(const std::vector<std::string> &args)
     }
     if (specs.empty()) {
         std::string names;
-        for (const PaperTable &pt : kPaperTables)
-            names += std::string(" ") + pt.name;
+        for (const NamedTable &nt : kTables)
+            names += std::string(" ") + nt.name;
         std::fprintf(stderr,
                      "cpstables: %s; usage: cpstables <name>...|--all "
                      "with <name> one of:%s\n",
