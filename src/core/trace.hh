@@ -9,12 +9,13 @@
  * re-executes the functional core N times for identical answers.
  *
  * This component batches that work: one functional pass records each
- * retired instruction as a compact 16-byte TraceEntry, and any number of
- * timing runs replay the immutable buffer instead of driving the
- * Executor. On disk (encodeTrace) an entry is delta-coded against the
- * one before it and takes under two bytes. Both pipelines consume the
- * stream through the TraceSource interface, so live and replayed runs
- * are cycle-for-cycle identical by construction (test_trace_replay
+ * retired instruction in 8 bytes (its word index, flags and memory
+ * address; pc and nextPc follow from the walk, see TraceBuffer), and any
+ * number of timing runs replay the immutable buffer instead of driving
+ * the Executor. On disk (encodeTrace) an entry is delta-coded against
+ * the one before it and takes under two bytes. Both pipelines consume
+ * the stream through the TraceSource interface, so live and replayed
+ * runs are cycle-for-cycle identical by construction (test_trace_replay
  * asserts it stat-for-stat).
  *
  * Thread safety: a TraceBuffer is immutable after recording; publishing
@@ -24,7 +25,6 @@
 #ifndef CPS_CORE_TRACE_HH
 #define CPS_CORE_TRACE_HH
 
-#include <utility>
 #include <vector>
 
 #include "common/result.hh"
@@ -34,9 +34,9 @@ namespace cps
 {
 
 /**
- * One retired instruction, 16 bytes. The decoded Inst/InstInfo are not
- * stored: the word index recovers both from the (shared, read-only)
- * DecodedText at replay time.
+ * One retired instruction as TraceBuffer::entry() reports it, 16 bytes.
+ * The decoded Inst/InstInfo are not stored: the word index recovers both
+ * from the (shared, read-only) DecodedText at replay time.
  */
 struct TraceEntry
 {
@@ -58,30 +58,39 @@ static_assert(sizeof(TraceEntry) == 16, "TraceEntry must stay compact");
 static_assert(std::is_trivially_copyable_v<TraceEntry>,
               "TraceEntry must be POD");
 
-/** An immutable (after recording) sequence of retired instructions. */
+/**
+ * An immutable (after recording) sequence of retired instructions.
+ *
+ * A recorded trace is a walk through its program's text: every pc is the
+ * text base plus 4 x its word index, and every nextPc but the last is
+ * the next entry's pc. So an entry keeps only its meta word and memory
+ * address, 8 bytes; entry() derives pc and nextPc, and the buffer keeps
+ * the text base and the last entry's nextPc.
+ */
 class TraceBuffer
 {
   public:
-    TraceBuffer() = default;
-
-    /** Adopts already-packed entries (trace deserialization). */
-    TraceBuffer(std::vector<TraceEntry> entries, bool complete)
-        : entries_(std::move(entries)), complete_(complete)
-    {}
-
-    /** Appends the record of one executed instruction. */
+    /**
+     * Appends the record of one executed instruction. The first sets
+     * the text base; each later one must continue the walk (its pc is
+     * the previous nextPc), and every pc must lie a whole number of
+     * words past the base.
+     */
     void
     append(const StepRecord &rec, Addr text_base)
     {
-        u32 idx = (rec.pc - text_base) >> 2;
-        cps_assert(idx < (1u << 30), "text too large for TraceEntry meta");
-        TraceEntry e;
-        e.pc = rec.pc;
-        e.nextPc = rec.nextPc;
-        e.memAddr = rec.memAddr;
-        e.meta = (idx << 2) | (rec.taken ? TraceEntry::kTakenBit : 0) |
-                 (rec.halted ? TraceEntry::kHaltedBit : 0);
-        entries_.push_back(e);
+        if (entries_.empty())
+            base_ = text_base;
+        cps_assert(((rec.pc - base_) & 3) == 0 &&
+                       (entries_.empty() || rec.pc == lastNextPc_),
+                   "trace entry %zu at pc 0x%08x does not continue the "
+                   "walk (expected 0x%08x, text base 0x%08x)",
+                   entries_.size(), rec.pc, lastNextPc_, base_);
+        entries_.push_back(
+            Packed{(rec.pc - base_) | (rec.taken ? TraceEntry::kTakenBit : 0) |
+                       (rec.halted ? TraceEntry::kHaltedBit : 0),
+                   rec.memAddr});
+        lastNextPc_ = rec.nextPc;
     }
 
     /** Marks that the trace ends because the program exited. */
@@ -89,7 +98,23 @@ class TraceBuffer
 
     size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
-    const TraceEntry &entry(size_t i) const { return entries_[i]; }
+
+    /** Entry @p i, unpacked (O(1)). */
+    TraceEntry
+    entry(size_t i) const
+    {
+        const Packed &p = entries_[i];
+        TraceEntry e;
+        e.pc = pcOf(p);
+        e.nextPc = i + 1 < entries_.size() ? pcOf(entries_[i + 1])
+                                           : lastNextPc_;
+        e.memAddr = p.memAddr;
+        e.meta = p.meta;
+        return e;
+    }
+
+    /** The first entry's pc less 4 x its word index; 0 when empty. */
+    Addr textBase() const { return base_; }
 
     /** True when the recorded program halted within the recording cap. */
     bool complete() const { return complete_; }
@@ -109,7 +134,22 @@ class TraceBuffer
     void reserve(size_t n) { entries_.reserve(n); }
 
   private:
-    std::vector<TraceEntry> entries_;
+    /** Decodes straight into the packed entries. */
+    friend Result<TraceBuffer> decodeTraceChecked(const std::vector<u8> &);
+
+    /** What an entry keeps: TraceEntry::meta and memAddr. */
+    struct Packed
+    {
+        u32 meta;
+        Addr memAddr;
+    };
+
+    /** meta's index bits are 4 x the word index, in place. */
+    Addr pcOf(const Packed &p) const { return base_ + (p.meta & ~3u); }
+
+    std::vector<Packed> entries_;
+    Addr base_ = 0;
+    Addr lastNextPc_ = 0;
     bool complete_ = false;
 };
 
@@ -173,7 +213,7 @@ class TraceReplaySource final : public TraceSource
         cps_assert(cursor_ < trace_.size(),
                    "replay ran past the end of a truncated trace "
                    "(%zu entries)", trace_.size());
-        const TraceEntry &e = trace_.entry(cursor_++);
+        const TraceEntry e = trace_.entry(cursor_++);
         size_t idx = e.wordIndex();
         StepRecord rec;
         rec.pc = e.pc;

@@ -24,10 +24,16 @@
  *   kTargetFollows  varint zigzag(nextPc - (pc + 4))   implied: pc + 4
  *   kMemFollows     varint zigzag(memAddr - last nonzero memAddr)
  *                                        implied: memAddr 0
- *   kIndexFollows   raw u32 word index   implied: (pc - text base) >> 2
  *
- * Varints are LEB128 of at most five bytes. Recorded traces take
- * 1.5-1.8 bytes per entry against 16 in memory.
+ * The word index is always (pc - text base) >> 2. Varints are LEB128 of
+ * at most five bytes. Recorded traces take 1.5-1.8 bytes per entry
+ * against 8 in memory.
+ *
+ * A trace is a walk through its text (see TraceBuffer), so only the
+ * first entry may store its pc, and every stored nextPc but the last
+ * lies a whole number of words past its pc. Tag bit 5 (kIndexFollows, a
+ * stored word index) and a pc stored after the first entry are
+ * malformed: memory cannot hold either, and no recorder writes them.
  *
  * The decoder accepts exactly what the encoder writes: a field stored
  * when it was implied, an overlong varint, a header base other than the
@@ -61,16 +67,6 @@ constexpr u8 kMemFollows = 1u << 4;
 constexpr u8 kIndexFollows = 1u << 5;
 constexpr u8 kKnownTagBits =
     kFlagBits | kPcFollows | kTargetFollows | kMemFollows | kIndexFollows;
-
-/** Word indices fill the 30 bits of meta above the flags. */
-constexpr u32 kIndexLimit = 1u << 30;
-
-/** The text base a first entry gives: its pc less 4 * its word index. */
-Addr
-textBase(const TraceEntry &first)
-{
-    return first.pc - 4 * first.wordIndex();
-}
 
 /** Maps a wrapping 32-bit delta to one whose small magnitudes are small. */
 u32
@@ -144,7 +140,7 @@ std::vector<u8>
 encodeTrace(const TraceBuffer &trace)
 {
     const size_t count = trace.size();
-    const Addr base = count == 0 ? 0 : textBase(trace.entry(0));
+    const Addr base = trace.textBase();
 
     std::vector<u8> out(kHeaderBytes);
     // Recorded traces need under two bytes per entry; one regrow covers
@@ -158,16 +154,15 @@ encodeTrace(const TraceBuffer &trace)
     Addr implied_pc = base;
     Addr last_mem = 0;
     for (size_t i = 0; i < count; ++i) {
-        const TraceEntry &e = trace.entry(i);
+        const TraceEntry e = trace.entry(i);
         u8 tag = static_cast<u8>(e.meta & kFlagBits);
+        // Only the first entry's pc can differ from the implied one.
         if (e.pc != implied_pc)
             tag |= kPcFollows;
         if (e.nextPc != e.pc + 4)
             tag |= kTargetFollows;
         if (e.memAddr != 0)
             tag |= kMemFollows;
-        if (e.wordIndex() != (e.pc - base) >> 2)
-            tag |= kIndexFollows;
 
         out.push_back(tag);
         if (tag & kPcFollows)
@@ -178,8 +173,6 @@ encodeTrace(const TraceBuffer &trace)
             putVarint(out, zigzag(e.memAddr - last_mem));
             last_mem = e.memAddr;
         }
-        if (tag & kIndexFollows)
-            put32(out, e.wordIndex());
         implied_pc = e.nextPc;
     }
     put32(out, crc32(out.data(), out.size()));
@@ -223,9 +216,12 @@ decodeTraceChecked(const std::vector<u8> &bytes)
             "trace declares %u entries but only %zu bytes follow", count,
             static_cast<size_t>(end - p));
 
-    std::vector<TraceEntry> entries;
-    entries.reserve(count);
+    TraceBuffer trace;
+    trace.entries_.reserve(count);
+    trace.base_ = base;
+    trace.complete_ = complete != 0;
     Addr implied_pc = base;
+    Addr first_pc = base;
     Addr last_mem = 0;
     for (u32 i = 0; i < count; ++i) {
         if (p == end)
@@ -237,26 +233,33 @@ decodeTraceChecked(const std::vector<u8> &bytes)
             return decodeErrorAtByte(DecodeStatus::Malformed, p - start,
                                      "entry %u has unknown tag bits 0x%02x",
                                      i, tag & ~kKnownTagBits);
+        if (tag & kIndexFollows)
+            return decodeErrorAtByte(DecodeStatus::Malformed, p - start,
+                                     "entry %u stores a word index", i);
+        if ((tag & kPcFollows) && i > 0)
+            return decodeErrorAtByte(DecodeStatus::Malformed, p - start,
+                                     "entry %u stores a pc; only the "
+                                     "first may",
+                                     i);
         ++p;
 
-        TraceEntry e;
+        Addr pc = implied_pc;
         if (tag & kPcFollows) {
             if (end - p < 4)
                 return decodeErrorAtByte(DecodeStatus::Truncated,
                                          p - start,
                                          "trace ends inside entry %u's pc",
                                          i);
-            e.pc = loadLe32(p);
-            if (e.pc == implied_pc)
+            pc = loadLe32(p);
+            if (pc == implied_pc)
                 return decodeErrorAtByte(
                     DecodeStatus::Malformed, p - start,
                     "entry %u stores the pc it implies", i);
+            first_pc = pc;
             p += 4;
-        } else {
-            e.pc = implied_pc;
         }
 
-        e.nextPc = e.pc + 4;
+        Addr next_pc = pc + 4;
         if (tag & kTargetFollows) {
             const size_t field = p - start;
             u32 z = 0;
@@ -266,54 +269,48 @@ decodeTraceChecked(const std::vector<u8> &bytes)
                 return decodeErrorAtByte(
                     DecodeStatus::Malformed, field,
                     "entry %u stores the nextPc it implies", i);
-            e.nextPc += unzigzag(z);
+            // The walk's one check: the next entry's pc is a word.
+            if (i + 1 < count && (unzigzag(z) & 3) != 0)
+                return decodeErrorAtByte(
+                    DecodeStatus::Malformed, field,
+                    "entry %u's nextPc is not a word of the walk", i);
+            next_pc += unzigzag(z);
         }
 
+        Addr mem = 0;
         if (tag & kMemFollows) {
             const size_t field = p - start;
             u32 z = 0;
             if (VarintRead r = readVarint(p, end, z); r != VarintRead::Ok)
                 return varintError(r, field, i, "memory address delta");
-            e.memAddr = last_mem + unzigzag(z);
-            if (e.memAddr == 0)
+            mem = last_mem + unzigzag(z);
+            if (mem == 0)
                 return decodeErrorAtByte(
                     DecodeStatus::Malformed, field,
                     "entry %u stores the memory address it implies", i);
-            last_mem = e.memAddr;
+            last_mem = mem;
         }
 
-        u32 index = (e.pc - base) >> 2;
-        if (tag & kIndexFollows) {
-            if (end - p < 4)
-                return decodeErrorAtByte(
-                    DecodeStatus::Truncated, p - start,
-                    "trace ends inside entry %u's word index", i);
-            const u32 stored = loadLe32(p);
-            if (stored >= kIndexLimit || stored == index)
-                return decodeErrorAtByte(
-                    DecodeStatus::Malformed, p - start,
-                    "entry %u stores word index %u (implied %u)", i,
-                    stored, index);
-            index = stored;
-            p += 4;
-        }
-        e.meta = (index << 2) | (tag & kFlagBits);
-
-        implied_pc = e.nextPc;
-        entries.push_back(e);
+        // (pc - base) is 4 x the word index; a first pc off the word
+        // grid fails the header check below.
+        trace.entries_.push_back(TraceBuffer::Packed{
+            ((pc - base) & ~3u) | (tag & kFlagBits), mem});
+        implied_pc = next_pc;
     }
     if (p != end)
         return decodeErrorAtByte(DecodeStatus::Malformed, p - start,
                                  "%zu bytes follow the last trace entry",
                                  static_cast<size_t>(end - p));
 
-    const Addr first_base = count == 0 ? 0 : textBase(entries[0]);
-    if (base != first_base)
+    // The header's base is the one the first entry gives (0 when there
+    // is none): the first pc lies a whole number of words past it.
+    if (count == 0 ? base != 0 : ((first_pc - base) & 3) != 0)
         return decodeErrorAtByte(DecodeStatus::BadHeader, at + 5,
-                                 "trace text base 0x%08x, first entry "
-                                 "gives 0x%08x",
-                                 base, first_base);
-    return TraceBuffer(std::move(entries), complete != 0);
+                                 "trace text base 0x%08x is not the one "
+                                 "its first entry gives",
+                                 base);
+    trace.lastNextPc_ = implied_pc;
+    return trace;
 }
 
 } // namespace cps

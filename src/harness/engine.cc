@@ -1,5 +1,6 @@
 #include "engine.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fcntl.h>
@@ -77,6 +78,17 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
     if (threads == 0)
         threads = defaultThreadCount();
 
+    // Each distinct benchmark's text is decoded before any cell runs
+    // or forks: every cell then reads the one shared text, no forked
+    // child can inherit a once-flag mid-build, and isolated children
+    // share the parent's pages.
+    std::vector<const BenchProgram *> benches;
+    for (const RunRequest &r : requests)
+        if (std::find(benches.begin(), benches.end(), r.bench) ==
+            benches.end())
+            benches.push_back(r.bench);
+    auto buildText = [&](size_t i) { benches[i]->text(); };
+
     const CellRunner runner(CellRunnerConfig::fromEnv());
     const ArtifactCache &store = resumeStore();
 
@@ -113,33 +125,32 @@ runMatrixCells(const std::vector<RunRequest> &requests, unsigned threads)
     };
 
     if (threads <= 1 || requests.size() <= 1) {
+        for (size_t i = 0; i < benches.size(); ++i)
+            buildText(i);
         for (size_t i = 0; i < requests.size(); ++i)
             runCell(i);
     } else {
         ThreadPool pool(threads);
+        // parallelFor returns once every text is built.
+        pool.parallelFor(benches.size(), buildText);
         pool.parallelFor(requests.size(), runCell);
     }
     return cells;
 }
 
-int
-Matrix::exitSummary() const
+void
+Matrix::reportFailures() const
 {
-    unsigned failed = 0;
     for (size_t i = 0; i < cells_.size(); ++i) {
         const CellStatus &st = cells_[i].status;
-        if (st.ok())
-            continue;
-        ++failed;
-        std::fprintf(stderr, "cell %zu/%zu %s: %s\n", i, cells_.size(),
-                     requests_[i].bench->profile->name.c_str(),
-                     st.describe().c_str());
+        if (!st.ok())
+            std::fprintf(stderr, "cell %zu/%zu %s: %s\n", i, cells_.size(),
+                         requests_[i].bench->profile->name.c_str(),
+                         st.describe().c_str());
     }
-    if (failed == 0)
-        return 0;
-    std::fprintf(stderr, "%u of %zu matrix cells FAILED\n", failed,
-                 cells_.size());
-    return 1;
+    if (const unsigned failed = failedCount())
+        std::fprintf(stderr, "%u of %zu matrix cells FAILED\n", failed,
+                     cells_.size());
 }
 
 } // namespace harness

@@ -6,12 +6,13 @@
  * order.
  *
  * Determinism contract: every Machine is self-contained (its own stats,
- * memory, caches and decompressor state), each run writes only its own
- * pre-allocated outcome slot, and the caller does all printing after
- * collection — so a table binary's stdout is byte-identical at any
- * CPS_THREADS value, including 1 (which runs inline with no pool), with
- * or without worker isolation, and whether cells were executed or
- * resumed from the artifact cache.
+ * memory, caches and decompressor state; the decoded text and trace it
+ * reads are its benchmark's, shared and immutable), each run writes
+ * only its own pre-allocated outcome slot, and the caller does all
+ * printing after collection — so a table binary's stdout is
+ * byte-identical at any CPS_THREADS value, including 1 (which runs
+ * inline with no pool), with or without worker isolation, and whether
+ * cells were executed or resumed from the artifact cache.
  *
  * Resilience layer (see cell_runner.hh):
  *   CPS_ISOLATE=1  runs each cell in a forked worker; a crash, hang or
@@ -23,8 +24,9 @@
  *                  sharing the cell, loads it and executes only the
  *                  cells it could not load
  * Cells that exhaust their retries surface as FAILED(reason)
- * placeholders in the table (Matrix::fmtNext) and a nonzero exit
- * summary (Matrix::exitSummary) instead of aborting the binary.
+ * placeholders in the table (Matrix::fmtNext) and one stderr line each
+ * (Matrix::reportFailures) instead of aborting the binary; runPlan
+ * turns them into cpstables' nonzero exit.
  */
 
 #ifndef CPS_HARNESS_ENGINE_HH
@@ -84,8 +86,8 @@ fmtCells(const CellOutcome &a, const CellOutcome &b,
  * binaries readable: add() cells inside the same nested loops that will
  * later format the rows, run() once, then take() the outcomes in the
  * same order. fmtNext() renders a FAILED(reason) placeholder for cells
- * that exhausted their retries; exitSummary() turns any failures into
- * a diagnosable nonzero exit.
+ * that exhausted their retries; reportFailures() names each of them on
+ * stderr.
  */
 class Matrix
 {
@@ -173,10 +175,10 @@ class Matrix
     }
 
     /**
-     * Exit code for a table binary: 0 when every cell succeeded,
-     * otherwise 1 after printing one stderr line per failed cell.
+     * Prints one stderr line per failed cell and then their count;
+     * prints nothing when every cell succeeded (valid after run()).
      */
-    int exitSummary() const;
+    void reportFailures() const;
 
   private:
     std::vector<RunRequest> requests_;

@@ -32,23 +32,30 @@ textWords(const Program &prog)
     return words;
 }
 
-/** Runs a benchmark with a line-codec fetch path on the 4-issue core. */
+/**
+ * Runs a benchmark with a line-codec fetch path on the 4-issue core,
+ * over the bench's shared text, replaying its trace whenever runMachine
+ * would.
+ */
 RunResult
 runWithCodec(const BenchProgram &bench, const compress::LineCodec &codec)
 {
-    MachineConfig cfg = baseline4Issue();
+    const MachineConfig cfg = baseline4Issue();
+    const u64 insns = Suite::runInsns();
     MainMemory mem(cfg.mem);
     mem.loadSegment(bench.program.text);
     mem.loadSegment(bench.program.data);
-    DecodedText text(bench.program);
-    Executor exec(text, mem);
-    exec.reset(bench.program);
     StatSet stats;
     compress::LineCompressedFetchPath fetch(cfg.icache, codec, mem,
                                             stats);
     DataPath data(cfg.dcache, mem, stats);
-    OoOPipeline pipe(cfg.pipeline, exec, fetch, data, stats);
-    return pipe.run(Suite::runInsns());
+    if (const TraceBuffer *trace = replayTrace(bench, cfg, insns)) {
+        TraceReplaySource src(*trace, bench.text());
+        return OoOPipeline(cfg.pipeline, src, fetch, data, stats).run(insns);
+    }
+    Executor exec(bench.text(), mem);
+    exec.reset(bench.program);
+    return OoOPipeline(cfg.pipeline, exec, fetch, data, stats).run(insns);
 }
 
 std::string
@@ -102,9 +109,9 @@ ablationCompressors(Matrix &m)
         perf.addHeader({"Bench", "CodePack opt", "CCRP", "dict32"});
 
         // The codec fetch paths don't go through runMachine(), so the
-        // CCRP and dict32 legs run on the pool directly: each task
-        // compresses one benchmark under both schemes and simulates
-        // them, writing results into its own slot. The CodePack legs
+        // CCRP and dict32 legs run on the pool directly: one task per
+        // (benchmark, scheme) compresses the benchmark and simulates
+        // it, writing only its own scheme's fields. The CodePack legs
         // are the plan's cells.
         struct SchemeCell
         {
@@ -116,16 +123,19 @@ ablationCompressors(Matrix &m)
         std::vector<SchemeCell> cells(names.size());
         {
             ThreadPool pool;
-            pool.parallelFor(names.size(), [&](size_t i) {
-                const BenchProgram &bench = suite.get(names[i]);
-                auto words = textWords(bench.program);
-                SchemeCell &cell = cells[i];
-                cell.ccrp = compress::CcrpImage::compress(
-                    words, bench.program.text.base);
-                cell.d32 = compress::Dict32Image::compress(
-                    words, bench.program.text.base);
-                cell.ccrpRun = runWithCodec(bench, cell.ccrp);
-                cell.d32Run = runWithCodec(bench, cell.d32);
+            pool.parallelFor(2 * names.size(), [&](size_t task) {
+                const BenchProgram &bench = suite.get(names[task / 2]);
+                const std::vector<u32> words = textWords(bench.program);
+                SchemeCell &cell = cells[task / 2];
+                if (task % 2 == 0) {
+                    cell.ccrp = compress::CcrpImage::compress(
+                        words, bench.program.text.base);
+                    cell.ccrpRun = runWithCodec(bench, cell.ccrp);
+                } else {
+                    cell.d32 = compress::Dict32Image::compress(
+                        words, bench.program.text.base);
+                    cell.d32Run = runWithCodec(bench, cell.d32);
+                }
             });
         }
 

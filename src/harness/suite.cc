@@ -8,6 +8,15 @@
 namespace cps
 {
 
+const DecodedText &
+BenchProgram::text() const
+{
+    std::call_once(textOnce_, [this] {
+        text_ = std::make_unique<const DecodedText>(program);
+    });
+    return *text_;
+}
+
 Suite::Suite()
 {
     for (const BenchmarkProfile &p : standardProfiles()) {
@@ -197,19 +206,24 @@ Suite::replayEnabled()
     return cached;
 }
 
+const TraceBuffer *
+replayTrace(const BenchProgram &bench, const MachineConfig &cfg,
+            u64 max_insns)
+{
+    if (bench.trace && bench.trace->covers(max_insns, replayLookahead(cfg)) &&
+        Suite::replayEnabled())
+        return bench.trace.get();
+    return nullptr;
+}
+
 RunOutcome
 runMachine(const BenchProgram &bench, const MachineConfig &cfg,
            u64 max_insns)
 {
-    const TraceBuffer *trace = nullptr;
-    if (bench.trace && bench.trace->covers(max_insns, replayLookahead(cfg)) &&
-        Suite::replayEnabled()) {
-        trace = bench.trace.get();
-    }
-    Machine machine(bench.program, cfg,
+    Machine machine(bench.program, bench.text(), cfg,
                     cfg.codeModel == CodeModel::Native ? nullptr
                                                        : &bench.image,
-                    trace);
+                    replayTrace(bench, cfg, max_insns));
     RunOutcome out;
     out.result = machine.run(max_insns);
     out.icacheMissRate = machine.icacheMissRate();

@@ -22,7 +22,8 @@ namespace cps
 
 /** A generated benchmark with its compressed image and, when tracing is
  *  enabled, the recorded instruction stream every machine configuration
- *  replays instead of re-executing the functional core. */
+ *  replays instead of re-executing the functional core. Built once and
+ *  read by every cell that runs it. */
 struct BenchProgram
 {
     const BenchmarkProfile *profile = nullptr;
@@ -30,6 +31,17 @@ struct BenchProgram
     codepack::CompressedImage image;
     /** Immutable after generation; null when tracing is disabled. */
     std::unique_ptr<const TraceBuffer> trace;
+
+    /**
+     * The decoded text of program, built on the first call (from any
+     * thread; a once-flag builds it exactly once) and shared read-only
+     * by every Machine that runs this benchmark. Set program first.
+     */
+    const DecodedText &text() const;
+
+  private:
+    mutable std::once_flag textOnce_;
+    mutable std::unique_ptr<const DecodedText> text_;
 };
 
 /**
@@ -74,7 +86,7 @@ class Suite
     static u64 runInsns();
 
     /**
-     * Trace-entry cap per benchmark (the trace-replay memory knob, 16
+     * Trace-entry cap per benchmark (the trace-replay memory knob, 8
      * bytes per entry). Defaults to runInsns() plus enough slack to
      * cover the deepest OoO fetch-ahead; override with CPS_TRACE_INSNS
      * (0 to 2^40; 0 disables recording entirely). Runs longer than the
@@ -144,9 +156,18 @@ struct RunOutcome
     u64 prefetchHits = 0;
 };
 
-/** Builds one machine for @p bench under @p cfg and runs it serially
- *  on the calling thread. With a recorded trace that covers the run
- *  (and replay enabled), the timing models replay it — same tables, one
+/**
+ * The recorded trace a run of @p bench under @p cfg replays: bench.trace
+ * when replay is enabled and the trace covers a @p max_insns run (see
+ * TraceBuffer::covers / replayLookahead), otherwise null, and the run
+ * executes the functional core live.
+ */
+const TraceBuffer *replayTrace(const BenchProgram &bench,
+                               const MachineConfig &cfg, u64 max_insns);
+
+/** Builds one machine for @p bench under @p cfg, over the bench's
+ *  shared decoded text, and runs it serially on the calling thread.
+ *  With a replayTrace() the timing models replay it — same tables, one
  *  functional execution total. Parallelism lives a level up: the matrix
  *  engine fans independent cells out across workers. */
 RunOutcome runMachine(const BenchProgram &bench, const MachineConfig &cfg,

@@ -631,7 +631,7 @@ runPlan(const std::vector<TableSpec> &specs, unsigned threads)
     }
     std::fflush(stdout);
 
-    unique.exitSummary();
+    unique.reportFailures();
     counts.unique = unique.size();
     counts.failed = unique.failedCount();
     for (size_t i = 0; i < unique.size(); ++i)

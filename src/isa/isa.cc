@@ -50,7 +50,7 @@ struct OpDesc
 {
     const char *name;
     InstClass cls;
-    unsigned latency;
+    u8 latency;
 };
 
 const OpDesc &
@@ -59,7 +59,7 @@ descFor(Op op)
     static const std::array<OpDesc, static_cast<size_t>(Op::kNumOps)> table =
         [] {
             std::array<OpDesc, static_cast<size_t>(Op::kNumOps)> t{};
-            auto set = [&t](Op o, const char *n, InstClass c, unsigned l) {
+            auto set = [&t](Op o, const char *n, InstClass c, u8 l) {
                 t[static_cast<size_t>(o)] = OpDesc{n, c, l};
             };
             set(Op::Invalid, "<invalid>", InstClass::Invalid, 1);
@@ -398,8 +398,8 @@ analyze(const Inst &inst)
     info.cls = d.cls;
     info.latency = d.latency;
 
-    auto gpr = [](unsigned r) { return static_cast<int>(r); };
-    auto fpr = [](unsigned r) { return kRegFprBase + static_cast<int>(r); };
+    auto gpr = [](unsigned r) { return static_cast<s8>(r); };
+    auto fpr = [](unsigned r) { return static_cast<s8>(kRegFprBase + r); };
 
     switch (inst.op) {
       // rd <- rs op rt

@@ -108,18 +108,26 @@ struct Inst
     bool operator==(const Inst &o) const = default;
 };
 
-/** Static properties derived from a decoded instruction. */
+/**
+ * Static properties derived from a decoded instruction. Packed into 8
+ * bytes: a DecodedText holds one per text word and stays resident for a
+ * whole table plan. Unified register numbers are below 128, so they and
+ * kRegNone fit a signed byte.
+ */
 struct InstInfo
 {
     InstClass cls = InstClass::Invalid;
-    int dest = kRegNone;  ///< unified destination register
-    int src1 = kRegNone;  ///< unified source registers
-    int src2 = kRegNone;
-    int src3 = kRegNone;
-    unsigned latency = 1; ///< execute latency in cycles
+    s8 dest = kRegNone; ///< unified destination register
+    s8 src1 = kRegNone; ///< unified source registers
+    s8 src2 = kRegNone;
+    s8 src3 = kRegNone;
+    u8 latency = 1;     ///< execute latency in cycles
     bool isControl = false;
     bool isMem = false;
 };
+
+static_assert(sizeof(InstInfo) == 8, "InstInfo must stay packed");
+static_assert(kNumUnifiedRegs <= 128, "unified registers must fit an s8");
 
 /** Encodes a decoded instruction into its 32-bit representation. */
 u32 encode(const Inst &inst);

@@ -72,10 +72,28 @@ baseline8Issue()
 Machine::Machine(const Program &prog, const MachineConfig &cfg,
                  const codepack::CompressedImage *img,
                  const TraceBuffer *trace)
-    : cfg_(cfg), prog_(prog), mem_(cfg.mem), text_(prog),
-      exec_(text_, mem_), replayTrace_(trace),
-      data_(cfg.dcache, mem_, stats_)
+    : Machine(prog, nullptr, cfg, img, trace)
+{}
+
+Machine::Machine(const Program &prog, const DecodedText &text,
+                 const MachineConfig &cfg,
+                 const codepack::CompressedImage *img,
+                 const TraceBuffer *trace)
+    : Machine(prog, &text, cfg, img, trace)
+{}
+
+Machine::Machine(const Program &prog, const DecodedText *shared,
+                 const MachineConfig &cfg,
+                 const codepack::CompressedImage *img,
+                 const TraceBuffer *trace)
+    : cfg_(cfg), prog_(prog), mem_(cfg.mem),
+      ownText_(shared ? nullptr : std::make_unique<const DecodedText>(prog)),
+      text_(shared ? *shared : *ownText_), exec_(text_, mem_),
+      replayTrace_(trace), data_(cfg.dcache, mem_, stats_)
 {
+    cps_assert(text_.base() == prog.text.base &&
+                   text_.size() == prog.textWords(),
+               "decoded text is not the program's");
     mem_.loadSegment(prog.text);
     mem_.loadSegment(prog.data);
     exec_.reset(prog);

@@ -87,6 +87,7 @@ class Machine
 {
   public:
     /**
+     * Builds the machine with its own DecodedText of @p prog.
      * @param prog the native program (must outlive the machine)
      * @param cfg machine configuration
      * @param img compressed image; required for CodePack code models
@@ -96,6 +97,16 @@ class Machine
      *        run length — see TraceBuffer::covers / replayLookahead)
      */
     Machine(const Program &prog, const MachineConfig &cfg,
+            const codepack::CompressedImage *img = nullptr,
+            const TraceBuffer *trace = nullptr);
+
+    /**
+     * The same machine over @p text, a DecodedText of @p prog that the
+     * caller shares between machines (read-only; must outlive this
+     * one). Decoding the text is most of the other constructor's cost.
+     */
+    Machine(const Program &prog, const DecodedText &text,
+            const MachineConfig &cfg,
             const codepack::CompressedImage *img = nullptr,
             const TraceBuffer *trace = nullptr);
 
@@ -141,11 +152,17 @@ class Machine
     codepack::DecompressorModel *decompressor();
 
   private:
+    /** @p shared is the caller's text, or null to build our own. */
+    Machine(const Program &prog, const DecodedText *shared,
+            const MachineConfig &cfg, const codepack::CompressedImage *img,
+            const TraceBuffer *trace);
+
     MachineConfig cfg_;
     const Program &prog_;
     StatSet stats_;
     MainMemory mem_;
-    DecodedText text_;
+    std::unique_ptr<const DecodedText> ownText_;
+    const DecodedText &text_;
     Executor exec_;
     const TraceBuffer *replayTrace_ = nullptr;
     std::unique_ptr<TraceSource> source_;

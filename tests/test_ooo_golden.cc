@@ -203,15 +203,12 @@ TEST_P(OooGoldenProfile, Table5CellsMatchGolden)
         for (CodeModel model : {CodeModel::Native, CodeModel::CodePack,
                                 CodeModel::CodePackOptimized}) {
             MachineConfig cfg = base.withCodeModel(model);
-            // Without a covering trace (CPS_REPLAY=0) the machine runs
-            // live, which is timing-identical to replay.
-            const TraceBuffer *trace =
-                bench.trace &&
-                        bench.trace->covers(kInsns, replayLookahead(cfg))
-                    ? bench.trace.get()
-                    : nullptr;
-            Machine m(bench.program, cfg, imageFor(bench.image, model),
-                      trace);
+            // The matrix's arrangement, as runMachine builds it. Without
+            // a covering trace (CPS_REPLAY=0) the machine runs live,
+            // which is timing-identical to replay.
+            Machine m(bench.program, bench.text(), cfg,
+                      imageFor(bench.image, model),
+                      replayTrace(bench, cfg, kInsns));
             expectGolden(std::string(GetParam()) + "/" + cfg.name + "/" +
                              modelName(model),
                          timingDigest(m, kInsns));

@@ -1,7 +1,8 @@
 /**
  * @file
  * Trace container tests: the delta-coded layout is pinned, every escape
- * of the entry coding round-trips, recorded traces stay compact, and the
+ * of the entry coding round-trips, recorded traces stay compact, the
+ * 8-byte in-memory entries give back every recorded step, and the
  * structural checks behind the CRC turn every truncation and byte
  * overwrite into either a structured error inside the container or a
  * trace that re-encodes to exactly the mutated bytes.
@@ -22,47 +23,63 @@ using namespace cps;
 namespace
 {
 
-TraceEntry
-makeEntry(Addr pc, Addr next_pc, Addr mem, u32 index, bool taken = false,
-          bool halted = false)
+/** One retired instruction, as the executor reports it. */
+StepRecord
+step(Addr pc, Addr next_pc, Addr mem = 0, bool taken = false,
+     bool halted = false)
 {
-    TraceEntry e;
-    e.pc = pc;
-    e.nextPc = next_pc;
-    e.memAddr = mem;
-    e.meta = (index << 2) | (taken ? TraceEntry::kTakenBit : 0) |
-             (halted ? TraceEntry::kHaltedBit : 0);
-    return e;
+    StepRecord rec;
+    rec.pc = pc;
+    rec.nextPc = next_pc;
+    rec.memAddr = mem;
+    rec.taken = taken;
+    rec.halted = halted;
+    return rec;
 }
 
-/** A trace that takes every escape the entry coding has. */
+/** A trace of @p steps over a text at @p base; they must form a walk. */
+TraceBuffer
+walk(Addr base, std::initializer_list<StepRecord> steps,
+     bool complete = false)
+{
+    TraceBuffer trace;
+    for (const StepRecord &rec : steps)
+        trace.append(rec, base);
+    if (complete)
+        trace.markComplete();
+    return trace;
+}
+
+/** A walk that takes every escape the entry coding has. */
 TraceBuffer
 escapeTrace()
 {
-    constexpr Addr kBase = 0x00400000;
-    auto idx = [](Addr pc) { return (pc - kBase) >> 2; };
-    std::vector<TraceEntry> v = {
-        // The first pc is not the text base, so it is stored; the base
-        // still follows from its word index.
-        makeEntry(0x00400010, 0x00400014, 0x10008000, idx(0x00400010)),
-        // A memory op at address 0 (stored like no address at all).
-        makeEntry(0x00400014, 0x00400018, 0, idx(0x00400014)),
-        // A memory op at the top word; nextPc far backward.
-        makeEntry(0x00400018, 0x00000100, 0xFFFFFFFC, idx(0x00400018), true),
-        // nextPc far forward, from a word index that disagrees with pc.
-        makeEntry(0x00000100, 0xF0000000, 0, 7, true),
-        // A pc that is not the previous nextPc.
-        makeEntry(0xFFFFFFF8, 0xFFFFFFFC, 0x00000004, idx(0xFFFFFFF8)),
-        // pc + 4 across the 32-bit wrap is still implied.
-        makeEntry(0xFFFFFFFC, 0x00000000, 0, idx(0xFFFFFFFC)),
-        // Redirects across the wrap, backward and then forward.
-        makeEntry(0x00000000, 0xFFFFFFF0, 0, idx(0x00000000), true),
-        makeEntry(0xFFFFFFF0, 0x00000020, 0xFFFFFFF8, idx(0xFFFFFFF0), true),
-        makeEntry(0x00000020, 0x00000024, 0, (1u << 30) - 1),
-        // Taken and halted on the last entry.
-        makeEntry(0x00000024, 0x00400000, 0, idx(0x00000024), true, true),
-    };
-    return TraceBuffer(std::move(v), true);
+    return walk(
+        0x00400000,
+        {
+            // The first pc is not the text base, so it is stored.
+            step(0x00400010, 0x00400014, 0x10008000),
+            // A memory op at address 0 (stored like no address at all).
+            step(0x00400014, 0x00400018, 0),
+            // A memory op at the top word; nextPc far backward.
+            step(0x00400018, 0x00000100, 0xFFFFFFFC, true),
+            // nextPc far forward.
+            step(0x00000100, 0xF0000000, 0, true),
+            step(0xF0000000, 0xFFFFFFF8, 0x00000004, true),
+            // pc + 4 across the 32-bit wrap is still implied.
+            step(0xFFFFFFF8, 0xFFFFFFFC),
+            step(0xFFFFFFFC, 0x00000000),
+            // Redirects across the wrap, backward and then forward to
+            // the top word index, 2^30 - 1.
+            step(0x00000000, 0xFFFFFFF0, 0, true),
+            step(0xFFFFFFF0, 0x003FFFFC, 0xFFFFFFF8, true),
+            // pc + 4 from the top word index back to index 0.
+            step(0x003FFFFC, 0x00400000),
+            // Taken and halted on the last entry, whose nextPc need not
+            // be a word of the text.
+            step(0x00400000, 0x00400006, 0, true, true),
+        },
+        true);
 }
 
 /** A short trace of the calibrated cc1 program. */
@@ -85,8 +102,8 @@ expectRoundTrip(const TraceBuffer &trace, const std::string &what)
     ASSERT_EQ(back->size(), trace.size()) << what;
     EXPECT_EQ(back->complete(), trace.complete()) << what;
     for (size_t i = 0; i < trace.size(); ++i) {
-        const TraceEntry &a = back->entry(i);
-        const TraceEntry &b = trace.entry(i);
+        const TraceEntry a = back->entry(i);
+        const TraceEntry b = trace.entry(i);
         EXPECT_TRUE(a.pc == b.pc && a.nextPc == b.nextPc &&
                     a.memAddr == b.memAddr && a.meta == b.meta)
             << what << ": entry " << i << " differs";
@@ -200,25 +217,24 @@ TEST(TraceIo, RoundTripAndCorruptionRejected)
 
 TEST(TraceIo, ContainerLayoutIsPinned)
 {
-    // Text base 0x1000: a straight-line entry, a taken backward branch
-    // with a load, then a halting entry that stores its pc, a -4 memory
-    // delta and a word index the pc does not imply.
-    TraceBuffer trace({makeEntry(0x1000, 0x1004, 0, 0),
-                       makeEntry(0x1004, 0x0FF8, 0x2000, 1, true),
-                       makeEntry(0x2000, 0x2004, 0x1FFC, 5, false, true)},
-                      true);
+    // Text base 0x1000: a first entry that stores its pc, a taken
+    // backward branch with a load, then a halting entry with a -4
+    // memory delta.
+    TraceBuffer trace = walk(0x1000,
+                             {step(0x1008, 0x100C),
+                              step(0x100C, 0x0FF8, 0x2000, true),
+                              step(0x0FF8, 0x0FFC, 0x1FFC, false, true)},
+                             true);
     std::vector<u8> want = {
         'C', 'P', 'S', 'T', 'R', 'C', '2', '\0',
         3, 0, 0, 0,          // count
         1,                   // complete
         0x00, 0x10, 0, 0,    // text base
-        0x00,                // entry 0: everything implied
-        0x19, 0x1F,          // entry 1: taken, nextPc delta -16
+        0x04,                // entry 0: pc follows
+        0x08, 0x10, 0, 0,    //   pc
+        0x19, 0x2F,          // entry 1: taken, nextPc delta -24
         0x80, 0x80, 0x01,    //   memory address +0x2000
-        0x36,                // entry 2: halted, pc, memory, index follow
-        0x00, 0x20, 0, 0,    //   pc
-        0x07,                //   memory address -4
-        5, 0, 0, 0,          //   word index
+        0x12, 0x07,          // entry 2: halted, memory address -4
     };
     want = sealed(want);
     EXPECT_EQ(encodeTrace(trace), want);
@@ -228,15 +244,15 @@ TEST(TraceIo, ContainerLayoutIsPinned)
 TEST(TraceIo, EveryEscapeRoundTrips)
 {
     expectRoundTrip(TraceBuffer(), "empty");
-    expectRoundTrip(TraceBuffer({}, true), "empty complete");
-    expectRoundTrip(TraceBuffer({makeEntry(0x00400000, 0x00400004, 0, 0)},
-                                false),
+    TraceBuffer empty_complete;
+    empty_complete.markComplete();
+    expectRoundTrip(empty_complete, "empty complete");
+    expectRoundTrip(walk(0x00400000, {step(0x00400000, 0x00400004)}),
                     "one entry");
     // A first word index above pc / 4 puts the text base across the
     // wrap.
-    expectRoundTrip(TraceBuffer({makeEntry(0x100, 0x104, 0, 0x1000, true,
-                                           true)},
-                                true),
+    expectRoundTrip(walk(Addr{0x100} - 4 * 0x1000,
+                         {step(0x100, 0x104, 0, true, true)}, true),
                     "one entry, wrapped base");
     expectRoundTrip(escapeTrace(), "escapes");
 }
@@ -245,7 +261,7 @@ TEST(TraceIo, EveryNonCanonicalOrMalformedFormIsRejected)
 {
     // Header: magic 0-7, count 8-11, complete 12, text base 13-16;
     // entries start at byte 17. Tags: 0x04 pc, 0x08 nextPc delta, 0x10
-    // memory delta, 0x20 word index follow.
+    // memory delta follow; 0x20, a stored word index, is malformed.
     struct Case
     {
         const char *what;
@@ -292,20 +308,17 @@ TEST(TraceIo, EveryNonCanonicalOrMalformedFormIsRejected)
         {"memory delta back to address 0",
          container(2, {0x10, 0x08, 0x10, 0x07}), DecodeStatus::Malformed,
          20},
-        {"stored word index equals the implied one",
-         container(1, {0x20, 0x00, 0x00, 0x00, 0x00}),
+        {"stored word index", container(1, {0x20, 0x05, 0x00, 0x00, 0x00}),
+         DecodeStatus::Malformed, 17},
+        {"pc stored after the first entry",
+         container(2, {0x00, 0x04, 0x00, 0x20, 0x00, 0x00}),
          DecodeStatus::Malformed, 18},
-        {"word index above 30 bits",
-         container(1, {0x20, 0x00, 0x00, 0x00, 0x40}),
-         DecodeStatus::Malformed, 18},
-        {"word index cut short", container(1, {0x20, 0x05}),
-         DecodeStatus::Truncated, 18},
+        {"nextPc off the word grid before another entry",
+         container(2, {0x08, 0x02, 0x00}), DecodeStatus::Malformed, 18},
         {"byte after the last entry", container(1, {0x00, 0x00}),
          DecodeStatus::Malformed, 18},
         {"text base the first entry does not give",
-         container(1, {0x24, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00,
-                       0x00},
-                   0x2000),
+         container(1, {0x04, 0x02, 0x10, 0x00, 0x00}),
          DecodeStatus::BadHeader, 13},
         {"nonzero text base of an empty trace", container(0, {}),
          DecodeStatus::BadHeader, 13},
@@ -318,11 +331,54 @@ TEST(TraceIo, EveryNonCanonicalOrMalformedFormIsRejected)
         EXPECT_EQ(r.error().byteOffset(), c.byteOffset)
             << c.what << ": " << r.error().describe();
     }
-    // The same layouts, made canonical, decode.
+    // The same layouts, made canonical, decode; the last nextPc need
+    // not be a word.
     EXPECT_TRUE(decodeTraceChecked(container(0, {}, 0)).ok());
     EXPECT_TRUE(decodeTraceChecked(container(1, {0x08, 0x01})).ok());
+    EXPECT_TRUE(decodeTraceChecked(container(1, {0x08, 0x02})).ok());
     EXPECT_TRUE(decodeTraceChecked(container(2, {0x10, 0x08, 0x10, 0x05}))
                     .ok());
+}
+
+TEST(TraceIo, EntriesGiveBackEveryRecordedStep)
+{
+    // Record cc1 as recordTrace does, keeping the executor's records.
+    // The cap cuts the run short, so the last entry's nextPc is the one
+    // the buffer keeps apart, not a next entry's pc.
+    constexpr size_t kCap = 20000;
+    const Program prog = generateProgram(standardProfiles()[0]);
+    MainMemory mem;
+    mem.loadSegment(prog.text);
+    mem.loadSegment(prog.data);
+    DecodedText text(prog);
+    Executor exec(text, mem);
+    exec.reset(prog);
+    TraceBuffer trace;
+    std::vector<StepRecord> steps;
+    while (steps.size() < kCap) {
+        steps.push_back(exec.step());
+        trace.append(steps.back(), text.base());
+    }
+    ASSERT_FALSE(exec.halted());
+
+    Result<TraceBuffer> back = decodeTraceChecked(encodeTrace(trace));
+    ASSERT_TRUE(back.ok()) << back.error().describe();
+    for (const TraceBuffer *t : {&trace, &*back}) {
+        ASSERT_EQ(t->size(), kCap);
+        EXPECT_FALSE(t->complete());
+        EXPECT_EQ(t->textBase(), text.base());
+        for (size_t i = 0; i < kCap; ++i) {
+            const TraceEntry e = t->entry(i);
+            const StepRecord &rec = steps[i];
+            ASSERT_TRUE(e.pc == rec.pc && e.nextPc == rec.nextPc &&
+                        e.memAddr == rec.memAddr &&
+                        e.taken() == rec.taken &&
+                        e.halted() == rec.halted &&
+                        &text.instAt(e.wordIndex()) == rec.inst)
+                << (t == &trace ? "recorded" : "decoded") << " entry "
+                << i << " of " << kCap;
+        }
+    }
 }
 
 TEST(TraceIo, CalibratedProfilesStayCompact)

@@ -70,6 +70,17 @@ TEST(TraceReplay, EveryProfileEveryPipelineMatchesLiveExactly)
             expectSameRun(lr, rr, what);
             EXPECT_EQ(live.stats().snapshot(), replay.stats().snapshot())
                 << "StatSet diverged for " << what;
+
+            // The matrix's arrangement: replay over the bench's one
+            // shared decoded text, which the machine only borrows.
+            Machine shared(bench.program, bench.text(), cfg,
+                           imageFor(bench, cfg), bench.trace.get());
+            ASSERT_TRUE(shared.replaying());
+            RunResult sr = shared.run(kInsns);
+
+            expectSameRun(lr, sr, what + " (shared text)");
+            EXPECT_EQ(live.stats().snapshot(), shared.stats().snapshot())
+                << "StatSet diverged for " << what << " (shared text)";
         }
     }
 }
