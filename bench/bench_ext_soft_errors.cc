@@ -26,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "codepack/resilience.hh"
-#include "codepack/timing.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/threadpool.hh"
@@ -43,6 +41,11 @@ namespace
 constexpr ProtectKind kModes[] = {ProtectKind::None, ProtectKind::Crc8,
                                   ProtectKind::Crc16, ProtectKind::SecDed};
 constexpr unsigned kNumModes = 4;
+
+/** Modeled latency of the pipelined ECC/CRC check on a fetched block. */
+constexpr unsigned kCheckCycles = 1;
+/** Extra cycles when SEC-DED repairs a single-bit error in place. */
+constexpr unsigned kCorrectCycles = 3;
 
 /** Storage overhead of @p kind on @p img, in percent of total bits. */
 double
@@ -63,8 +66,7 @@ overheadPct(const codepack::CompressedImage &img, ProtectKind kind)
  * defaults), then re-checked.
  */
 double
-refetchCycles(const codepack::CompressedImage &img,
-              const codepack::DecompressorConfig &dcfg)
+refetchCycles(const codepack::CompressedImage &img)
 {
     MemTimingConfig mc;
     u64 bytes_total = 0;
@@ -76,7 +78,7 @@ refetchCycles(const codepack::CompressedImage &img,
             : static_cast<double>(bytes_total) / img.blocks.size();
     double beats = mean_bytes / mc.busBytes();
     return static_cast<double>(mc.firstAccess) +
-           beats * static_cast<double>(mc.beatRate) + dcfg.eccCheckCycles;
+           beats * static_cast<double>(mc.beatRate) + kCheckCycles;
 }
 
 } // namespace
@@ -156,7 +158,6 @@ main()
 
     // Storage cost of the check bits, charged honestly into the
     // composition tables (comp.protectionBits).
-    codepack::DecompressorConfig dcfg;
     TextTable c;
     c.setTitle("Protection storage and modeled recovery latency");
     c.addHeader({"Bench", "crc8 cost", "crc16 cost", "secded cost",
@@ -166,11 +167,11 @@ main()
         double c8 = overheadPct(bench.image, ProtectKind::Crc8);
         double c16 = overheadPct(bench.image, ProtectKind::Crc16);
         double sd = overheadPct(bench.image, ProtectKind::SecDed);
-        double rf = refetchCycles(bench.image, dcfg);
+        double rf = refetchCycles(bench.image);
         c.addRow({name, strfmt("%.2f%%", c8), strfmt("%.2f%%", c16),
                   strfmt("%.2f%%", sd),
-                  strfmt("%u cyc", dcfg.eccCheckCycles),
-                  strfmt("+%u cyc", dcfg.eccCorrectCycles),
+                  strfmt("%u cyc", kCheckCycles),
+                  strfmt("+%u cyc", kCorrectCycles),
                   strfmt("%.1f cyc", rf)});
     }
     c.print();

@@ -19,12 +19,8 @@
  *                     recovery of SoftErrorDomain
  *     --ecc KIND      protection for --runtime-flips: off, crc8,
  *                     crc16, secded               (default secded)
- *     --self-test-crash  crash deliberately (SIGSEGV) before fuzzing;
- *                     lets process-level fault campaigns verify that a
- *                     crashing fuzzer is reported as a crash
  *
- * Exit status (distinct codes so process-level campaigns can assert on
- * the ways a fuzz run ends):
+ * Exit status:
  *   0  clean — every corruption was detected, rejected, corrected,
  *      recovered, or benign
  *   1  fatal — bad usage or unloadable input (cps_fatal)
@@ -34,12 +30,11 @@
  *   3  detected-unrecoverable — --runtime-flips only: no silent
  *      escapes, but some upsets exhausted the refetch budget and were
  *      refused loudly (memory and backing store both corrupted)
- *   death by signal — the decode path itself crashed (or
- *      --self-test-crash); the wait status carries the signal
+ *   death by signal — the decode path itself crashed; the wait status
+ *      carries the signal
  */
 
 #include <climits>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -155,11 +150,6 @@ main(int argc, char **argv)
                 cps_fatal("unknown protection kind '%s' (off, crc8, "
                           "crc16, secded)",
                           kind.c_str());
-        } else if (arg == "--self-test-crash") {
-            std::fprintf(stderr, "cpfuzz: --self-test-crash: raising "
-                                 "SIGSEGV\n");
-            ::raise(SIGSEGV);
-            return 1; // not reached (unless the signal is blocked)
         } else if (!arg.empty() && arg[0] == '-') {
             cps_fatal("unknown option '%s'", arg.c_str());
         } else {

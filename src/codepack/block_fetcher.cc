@@ -16,11 +16,6 @@ BlockFetcher::BlockFetcher(const Decompressor &decomp, StatSet *stats,
     if (stats) {
         statHits_ = &stats->scalar("hostpf.hits");
         statFills_ = &stats->scalar("hostpf.fills");
-        // Registered only alongside a domain: the default stat roster
-        // (and thus every existing table/report) is untouched when
-        // protection is off.
-        if (domain_)
-            statPoisons_ = &stats->scalar("hostpf.poisons");
     }
 }
 
@@ -137,8 +132,6 @@ BlockFetcher::poisonSlot(u32 flat)
         head_ = i;
     tail_ = i;
     ++poisons_;
-    if (statPoisons_)
-        statPoisons_->inc();
 }
 
 void

@@ -79,8 +79,7 @@ class BlockFetcher
 
     /**
      * ECC/CRC verdict of the most recent (try)getFlat when a domain is
-     * attached; Clean otherwise. The timing model charges correction
-     * and refetch latency off this.
+     * attached; Clean otherwise.
      */
     FetchCheck lastCheck() const { return lastCheck_; }
 
@@ -91,7 +90,6 @@ class BlockFetcher
     /** Cached copies discarded after their memory was found corrupt. */
     u64 poisons() const { return poisons_; }
     unsigned slots() const { return static_cast<unsigned>(slab_.size()); }
-    SoftErrorDomain *domain() const { return domain_; }
 
   private:
     struct Entry
@@ -130,7 +128,6 @@ class BlockFetcher
     u64 poisons_ = 0;
     Counter *statHits_ = nullptr;
     Counter *statFills_ = nullptr;
-    Counter *statPoisons_ = nullptr;
 };
 
 } // namespace codepack

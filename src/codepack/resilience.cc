@@ -36,12 +36,9 @@ worse(FetchCheck a, FetchCheck b)
 
 } // namespace
 
-SoftErrorDomain::SoftErrorDomain(CompressedImage &mem, u64 seed,
-                                 unsigned flip_rate_ppm,
-                                 unsigned max_retries)
+SoftErrorDomain::SoftErrorDomain(CompressedImage &mem, unsigned max_retries)
     : mem_(mem), backingBytes_(mem.bytes), backingIndex_(mem.indexTable),
-      rng_(seed), flipRatePpm_(flip_rate_ppm), maxRetries_(max_retries),
-      verifiedEpoch_(mem.numBlocks(), 0)
+      maxRetries_(max_retries), verifiedEpoch_(mem.numBlocks(), 0)
 {
 }
 
@@ -63,7 +60,6 @@ SoftErrorDomain::verifyBlock(u32 flat)
 {
     if (!mem_.isProtected() || flat >= mem_.numBlocks())
         return FetchCheck::Clean;
-    maybeSelfInject(flat);
     if (verifiedEpoch_[flat] == epoch_)
         return FetchCheck::Clean;
     // The index entry steers the decoder to the block's bytes, so its
@@ -153,23 +149,6 @@ SoftErrorDomain::verifyBlockBytes(u32 flat)
         flat / kBlocksPerGroup, flat % kBlocksPerGroup, b.byteLen,
         protectKindName(mem_.protectKind), maxRetries_);
     return FetchCheck::Unrecoverable;
-}
-
-void
-SoftErrorDomain::maybeSelfInject(u32 flat)
-{
-    if (flipRatePpm_ == 0)
-        return;
-    if (rng_.below(1000000) >= flipRatePpm_)
-        return;
-    const BlockExtent &b = mem_.blocks[flat];
-    if (b.byteLen == 0)
-        return;
-    u64 bit = rng_.below(u64{b.byteLen} * 8);
-    mem_.bytes[b.byteOffset + bit / 8] ^=
-        static_cast<u8>(1u << (bit % 8));
-    ++stats_.flipsInjected;
-    verifiedEpoch_[flat] = 0; // the memo for this block is now a lie
 }
 
 } // namespace codepack

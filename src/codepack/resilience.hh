@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/result.hh"
-#include "common/rng.hh"
 #include "compressor.hh"
 
 namespace cps
@@ -62,7 +61,6 @@ class SoftErrorDomain
         u64 detected = 0;      ///< uncorrectable detections (pre-refetch)
         u64 refetches = 0;     ///< re-reads from the backing image
         u64 unrecoverable = 0; ///< detections that exhausted the budget
-        u64 flipsInjected = 0; ///< background self-injected flips
     };
 
     /**
@@ -70,17 +68,10 @@ class SoftErrorDomain
      *        (protectImage) for verification to detect anything, and
      *        must outlive the domain. A pristine backing copy of the
      *        stream and index table is taken here.
-     * @param seed seeds the background flip injector
-     * @param flip_rate_ppm background flips injected per million
-     *        verified fetches (0 = none)
      * @param max_retries refetch budget before a detected error is
      *        declared unrecoverable (0 disables refetching)
      */
-    SoftErrorDomain(CompressedImage &mem, u64 seed, unsigned flip_rate_ppm,
-                    unsigned max_retries);
-
-    /** The working image (injectors flip bits here). */
-    CompressedImage &memory() { return mem_; }
+    SoftErrorDomain(CompressedImage &mem, unsigned max_retries);
 
     /**
      * Verifies everything block @p flat is decoded from — its group's
@@ -113,14 +104,11 @@ class SoftErrorDomain
   private:
     FetchCheck verifyIndexEntry(u32 group);
     FetchCheck verifyBlockBytes(u32 flat);
-    void maybeSelfInject(u32 flat);
 
     CompressedImage &mem_;
     std::vector<u8> backingBytes_;      ///< pristine stream copy
     std::vector<u32> backingIndex_;     ///< pristine index-table copy
     Stats stats_;
-    Rng rng_;
-    unsigned flipRatePpm_;
     unsigned maxRetries_;
     u64 epoch_ = 1;
     std::vector<u64> verifiedEpoch_;    ///< per flat block; 0 = never

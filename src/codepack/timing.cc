@@ -13,7 +13,7 @@ DecompressorModel::DecompressorModel(const CompressedImage &img,
                                      const DecompressorConfig &cfg,
                                      StatSet &stats)
     : img_(img), decomp_(img),
-      fetcher_(decomp_, &stats, cfg.softErrorDomain),
+      fetcher_(decomp_, &stats),
       mem_(mem), cfg_(cfg),
       idxCache_(cfg.indexCacheLines, cfg.indexesPerLine),
       statMisses_(stats.scalar("decomp.misses")),
@@ -24,9 +24,6 @@ DecompressorModel::DecompressorModel(const CompressedImage &img,
 {
     cps_assert(cfg.decodeRate >= 1 && cfg.decodeRate <= kBlockInsns,
                "decode rate %u out of range", cfg.decodeRate);
-    cps_assert(!cfg.softErrorDomain ||
-                   &cfg.softErrorDomain->memory() == &img,
-               "soft-error domain wraps a different image than the model");
 }
 
 void
@@ -47,61 +44,18 @@ DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
 {
     // Burst-read the compressed block. The burst starts at the bus
     // boundary containing the block's first byte.
-    const DecodedBlock *blkp;
-    if (fetcher_.domain()) {
-        Result<const DecodedBlock *> r = fetcher_.tryGetFlat(
-            group * kBlocksPerGroup + block);
-        if (!r) {
-            // Unrecoverable corruption: latch the fault and hand back a
-            // trivially-finite fill so the pipeline drains instead of
-            // deadlocking; the machine aborts the run off the latch.
-            softError_ = true;
-            softErrorDetail_ = r.error();
-            std::array<Cycle, kBlockInsns> ready;
-            ready.fill(idx_ready + 1);
-            code_out = BurstResult{};
-            return ready;
-        }
-        blkp = *r;
-    } else {
-        blkp = &fetcher_.get(group, block);
-    }
-    const DecodedBlock &blk = *blkp;
+    const DecodedBlock &blk = fetcher_.get(group, block);
     unsigned bus_bytes = mem_.timing().busBytes();
     u32 start = static_cast<u32>(roundDown(blk.byteOffset, bus_bytes));
     u32 end = blk.byteOffset + std::max<u32>(blk.byteLen, 1);
     BurstResult code = mem_.burstRead(idx_ready, end - start);
-
-    // Protection cost: the pipelined ECC/CRC check sits between the
-    // memory channel and the decoder, delaying every beat by its fixed
-    // latency. A single-bit repair adds the correction pass; a detected
-    // error discards the burst and re-reads the block from backing
-    // storage (a second full burst) before checking again.
-    Cycle check_lat = 0;
-    if (cfg_.protect != ProtectKind::None) {
-        check_lat = cfg_.eccCheckCycles;
-        switch (fetcher_.lastCheck()) {
-          case FetchCheck::Clean:
-            break;
-          case FetchCheck::Corrected:
-            check_lat += cfg_.eccCorrectCycles;
-            break;
-          case FetchCheck::Refetched:
-            code = mem_.burstRead(code.done + cfg_.eccCheckCycles,
-                                  end - start);
-            break;
-          case FetchCheck::Unrecoverable:
-            // tryGetFlat already failed above; unreachable here.
-            break;
-        }
-    }
 
     // Arrival time of each instruction's final codeword bit.
     std::array<Cycle, kBlockInsns> arrival;
     for (unsigned i = 0; i < kBlockInsns; ++i) {
         u32 end_byte = blk.byteOffset + (blk.endBit[i] + 7) / 8; // 1 past
         u32 in_burst = end_byte - 1 - start;
-        arrival[i] = code.arrivalOfByte(in_burst, bus_bytes) + check_lat;
+        arrival[i] = code.arrivalOfByte(in_burst, bus_bytes);
     }
 
     // Serial decode at decodeRate instructions per cycle, overlapped
@@ -110,7 +64,7 @@ DecompressorModel::decodeTiming(u32 group, u32 block, Cycle idx_ready,
     // by t-1. Misses block, so the engine is always free here.
     std::array<Cycle, kBlockInsns> ready;
     unsigned decoded = 0;
-    Cycle t = code.beatArrival.front() + check_lat;
+    Cycle t = code.beatArrival.front();
     while (decoded < kBlockInsns) {
         // Skip idle cycles while waiting for data.
         t = std::max(t + 1, arrival[decoded] + 1);

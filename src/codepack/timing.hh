@@ -50,26 +50,6 @@ struct DecompressorConfig
     /** Decode bandwidth in instructions per cycle (1, 2, ... 16). */
     unsigned decodeRate = 1;
 
-    /**
-     * Per-block protection checked on every fetched block. None keeps
-     * the paper's timing bit-identical; any other kind charges
-     * eccCheckCycles per fetch even without a soft-error domain (pure
-     * protection-cost studies).
-     */
-    ProtectKind protect = ProtectKind::None;
-    /** Pipelined ECC/CRC check latency added to every beat's arrival. */
-    unsigned eccCheckCycles = 1;
-    /** Extra cycles when SEC-DED repairs a single-bit error in place. */
-    unsigned eccCorrectCycles = 3;
-    /**
-     * Soft-error recovery domain wrapping the simulated image. When
-     * set, every fetch is verified through it (corrections and
-     * refetches cost cycles, an unrecoverable corruption latches
-     * DecompressorModel::softError); it must wrap the same image the
-     * model decodes and outlive the model.
-     */
-    SoftErrorDomain *softErrorDomain = nullptr;
-
     /** The paper's optimized configuration (§5.3). */
     static DecompressorConfig
     optimized()
@@ -140,17 +120,6 @@ class DecompressorModel
 
     const DecompressorConfig &config() const { return cfg_; }
 
-    /**
-     * An unrecoverable in-memory corruption was hit on the fetch path.
-     * Latched (reset() does not clear it): every cycle count produced
-     * after the fault is meaningless, so the machine must abort the
-     * run with RunStatus::DecodeFault.
-     */
-    bool softError() const { return softError_; }
-
-    /** Diagnosis of the latched soft error (block and bit position). */
-    const DecodeError &softErrorDetail() const { return softErrorDetail_; }
-
   private:
     const CompressedImage &img_;
     Decompressor decomp_;
@@ -183,9 +152,6 @@ class DecompressorModel
                                                 BurstResult &code_out);
 
     MissTrace trace_;
-
-    bool softError_ = false;
-    DecodeError softErrorDetail_;
 
     Counter &statMisses_;
     Counter &statBufferHits_;

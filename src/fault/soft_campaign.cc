@@ -66,8 +66,7 @@ runSoftCampaign(const CompressedImage &img, const SoftCampaignConfig &cfg)
     const std::vector<u8> pristine_bytes = working.bytes;
     const std::vector<u32> pristine_index = working.indexTable;
 
-    SoftErrorDomain domain(working, cfg.seed ^ 0xd0117a11ull,
-                           /*flip_rate_ppm=*/0, cfg.maxRetries);
+    SoftErrorDomain domain(working, cfg.maxRetries);
     Decompressor decomp(working);
 
     SoftCampaignResult res;
@@ -124,7 +123,6 @@ runSoftCampaign(const CompressedImage &img, const SoftCampaignConfig &cfg)
             ++res.trials;
         }
     }
-    res.domainStats = domain.stats();
     return res;
 }
 

@@ -30,7 +30,6 @@
 #define CPS_FAULT_SOFT_CAMPAIGN_HH
 
 #include "codepack/compressor.hh"
-#include "codepack/resilience.hh"
 #include "memfault.hh"
 
 namespace cps
@@ -71,8 +70,6 @@ struct SoftCampaignResult
     unsigned byKindOutcome[kNumMemFaultKinds][kNumSoftOutcomes] = {};
     /** First silently-wrong upset, for replay (valid when any). */
     MemFaultRecord firstSilentWrong;
-    /** Domain counters accumulated over the whole campaign. */
-    codepack::SoftErrorDomain::Stats domainStats;
 
     unsigned
     count(SoftOutcome o) const

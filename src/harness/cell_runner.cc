@@ -178,9 +178,6 @@ fromRunOutcome(RunOutcome run, unsigned attempt)
     if (out.outcome.result.status == RunStatus::Stalled) {
         out.status.state = CellState::Stalled;
         out.status.detail = out.outcome.result.statusDetail;
-    } else if (out.outcome.result.status == RunStatus::DecodeFault) {
-        out.status.state = CellState::DecodeFault;
-        out.status.detail = out.outcome.result.statusDetail;
     }
     return out;
 }
@@ -203,8 +200,6 @@ cellStateName(CellState state)
         return "protocol-error";
       case CellState::Stalled:
         return "stalled";
-      case CellState::DecodeFault:
-        return "decode-fault";
     }
     return "?";
 }
@@ -232,9 +227,6 @@ CellStatus::describe() const
       case CellState::Stalled:
         what = "stalled";
         break;
-      case CellState::DecodeFault:
-        what = "decode fault";
-        break;
     }
     if (attempts > 1)
         what += strfmt(" after %u attempts", attempts);
@@ -259,8 +251,6 @@ failLabel(const CellStatus &status)
         return "FAILED(protocol)";
       case CellState::Stalled:
         return "FAILED(stall)";
-      case CellState::DecodeFault:
-        return "FAILED(decode-fault)";
     }
     return "FAILED(?)";
 }
@@ -312,9 +302,10 @@ decodeRunOutcomeChecked(const std::vector<u8> &bytes)
     out.result.instructions = cur.get64();
     out.result.cycles = cur.get64();
     out.result.programExited = cur.get8() != 0;
+    const size_t status_at = cur.pos();
     u8 status = cur.get8();
-    if (!cur.ok() || status > static_cast<u8>(RunStatus::DecodeFault)) {
-        return decodeErrorAtByte(DecodeStatus::Malformed, cur.pos(),
+    if (!cur.ok() || status > static_cast<u8>(RunStatus::Stalled)) {
+        return decodeErrorAtByte(DecodeStatus::Malformed, status_at,
                                  "bad run status %u", status);
     }
     out.result.status = static_cast<RunStatus>(status);
@@ -339,14 +330,11 @@ cellKey(const RunRequest &req)
                "cellKey on request without bench");
     const MachineConfig &c = req.cfg;
     const PipelineConfig &p = c.pipeline;
-    // Note: decomp keys the protection kind and its cycle costs, not
-    // the soft-error domain pointer — a run with live fault injection
-    // is not cacheable and must not go through the resume store.
     std::string key = strfmt(
-        "cell5;insns=%llu;machine=%s;"
+        "cell6;insns=%llu;machine=%s;"
         "pipe=%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u;"
         "ic=%u,%u,%u,%u;dc=%u,%u,%u,%u;mem=%u,%llu,%llu;model=%u;"
-        "decomp=%u,%u,%u,%u,%u,%u,%u,%u;"
+        "decomp=%u,%u,%u,%u,%u;"
         "sw=%llu,%llu,%llu,%llu;",
         static_cast<unsigned long long>(req.maxInsns), c.name.c_str(),
         p.inOrder ? 1u : 0u, p.width, p.fetchQueue, p.ruuSize, p.lsqSize,
@@ -363,8 +351,6 @@ cellKey(const RunRequest &req)
         c.decomp.indexCacheLines, c.decomp.indexesPerLine,
         c.decomp.perfectIndexCache ? 1u : 0u,
         c.decomp.burstIndexFill ? 1u : 0u, c.decomp.decodeRate,
-        static_cast<unsigned>(c.decomp.protect), c.decomp.eccCheckCycles,
-        c.decomp.eccCorrectCycles,
         static_cast<unsigned long long>(c.software.trapOverhead),
         static_cast<unsigned long long>(c.software.cyclesPerInsn),
         static_cast<unsigned long long>(c.software.copyCyclesPerInsn),
@@ -385,10 +371,9 @@ CellRunner::run(const RunRequest &req) const
         out = runAttempt(req, attempt);
         if (out.status.ok())
             return out;
-        // A watchdog stall or a decode fault is a deterministic
-        // property of the cell; re-running it would fail identically.
-        if (out.status.state == CellState::Stalled ||
-            out.status.state == CellState::DecodeFault)
+        // A watchdog stall is a deterministic property of the cell;
+        // re-running it would stall identically.
+        if (out.status.state == CellState::Stalled)
             return out;
         if (attempt >= cfg_.retries)
             return out;
@@ -411,8 +396,7 @@ CellOutcome
 CellRunner::runInline(const RunRequest &req, unsigned attempt) const
 {
     // Inline faults are applied honestly — a crash really crashes the
-    // process. Tests inject faults only under isolation; the fault
-    // campaign refuses to run inline.
+    // process. Tests inject faults only under isolation.
     applyWorkerFault(req.injectFault, attempt, req.faultDelayMs);
     return fromRunOutcome(executeCell(req), attempt);
 }

@@ -35,11 +35,11 @@ namespace harness
 {
 
 /**
- * Deliberate worker misbehaviour, injected by tests and the
- * process-level fault campaign to prove the parent survives each
- * failure mode. Faults fire inside the worker before (or instead of)
- * the simulation; under the inline path they are applied honestly and
- * will take the process down — isolation is the point.
+ * Deliberate worker misbehaviour, injected by tests to prove the
+ * parent survives each failure mode. Faults fire inside the worker
+ * before (or instead of) the simulation; under the inline path they are
+ * applied honestly and will take the process down — isolation is the
+ * point.
  */
 enum class CellFault : u8
 {
@@ -73,7 +73,6 @@ enum class CellState : u8
     Timeout,       ///< worker exceeded the wall-clock deadline
     ProtocolError, ///< worker's result stream was garbled or missing
     Stalled,       ///< the in-simulator progress watchdog tripped
-    DecodeFault,   ///< unrecoverable corruption on the decompression path
 };
 
 /** Short stable name for a state ("ok", "crashed", "timeout", ...). */

@@ -650,18 +650,8 @@ namespace
 struct Reroll
 {
     BenchmarkProfile profile;
-    BenchProgram bench;
+    std::unique_ptr<BenchProgram> bench;
 };
-
-void
-reroll(Reroll &r, u64 seed)
-{
-    r.profile = findProfile("go");
-    r.profile.seed = seed;
-    r.bench.profile = &r.profile;
-    r.bench.program = generateProgram(r.profile);
-    r.bench.image = codepack::compress(r.bench.program);
-}
 
 std::string
 rangeOf(std::vector<double> v, bool pct)
@@ -691,20 +681,29 @@ extSeedRobustness(Matrix &m)
     constexpr size_t nseeds = std::size(seeds);
     const u64 insns = Suite::runInsns() / 2; // 5 seeds: keep it modest
 
-    // Program generation is independent per seed; build all five in
+    // Each reseeded program builds through the artifact cache like a
+    // standard benchmark, with a trace of the run plus the fetch-ahead
+    // slack Suite::traceInsns() leaves, capped by that knob (at 0 none
+    // is recorded). The five are independent, so they build in
     // parallel. The requests point into `rolls`, which the printer
     // keeps alive, at fixed addresses, for as long as the plan runs.
+    const u64 trace_cap = std::min(Suite::traceInsns(), insns + 4096);
     auto rolls = std::make_shared<std::vector<Reroll>>(nseeds);
     {
         ThreadPool pool;
-        pool.parallelFor(nseeds,
-                         [&](size_t i) { reroll((*rolls)[i], seeds[i]); });
+        pool.parallelFor(nseeds, [&](size_t i) {
+            Reroll &r = (*rolls)[i];
+            r.profile = findProfile("go");
+            r.profile.seed = seeds[i];
+            r.bench = buildBenchProgram(r.profile, ArtifactCache::instance(),
+                                        trace_cap);
+        });
     }
     for (const Reroll &r : *rolls) {
-        m.add(r.bench, baseline4Issue(), insns);
-        m.add(r.bench, baseline4Issue().withCodeModel(CodeModel::CodePack),
+        m.add(*r.bench, baseline4Issue(), insns);
+        m.add(*r.bench, baseline4Issue().withCodeModel(CodeModel::CodePack),
               insns);
-        m.add(r.bench,
+        m.add(*r.bench,
               baseline4Issue().withCodeModel(CodeModel::CodePackOptimized),
               insns);
     }
@@ -720,7 +719,7 @@ extSeedRobustness(Matrix &m)
             // turns the omission into a diagnosable nonzero exit.
             if (!cn.status.ok() || !cc.status.ok() || !co.status.ok())
                 continue;
-            ratio.push_back((*rolls)[i].bench.image.compressionRatio());
+            ratio.push_back((*rolls)[i].bench->image.compressionRatio());
             miss.push_back(cn.outcome.icacheMissRate);
             cp.push_back(speedup(cn.outcome, cc.outcome));
             opt.push_back(speedup(cn.outcome, co.outcome));

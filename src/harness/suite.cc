@@ -74,14 +74,14 @@ benchTraceKey(const BenchmarkProfile &p, u64 trace_cap)
 }
 
 std::unique_ptr<BenchProgram>
-buildBenchProgram(const std::string &name, const ArtifactCache &cache,
-                  u64 trace_cap)
+buildBenchProgram(const BenchmarkProfile &profile,
+                  const ArtifactCache &cache, u64 trace_cap)
 {
     if (trace_cap == 0)
         trace_cap = Suite::traceInsns();
 
     auto bench = std::make_unique<BenchProgram>();
-    bench->profile = &findProfile(name);
+    bench->profile = &profile;
 
     // Program: the envelope CRC is the only integrity layer object
     // files need (decodeProgram rejects structural damage).
@@ -148,7 +148,8 @@ Suite::get(const std::string &name)
         cps_fatal("unknown benchmark '%s'", name.c_str());
     Slot &slot = it->second;
     std::call_once(slot.once, [&] {
-        slot.bench = buildBenchProgram(name, ArtifactCache::instance());
+        slot.bench = buildBenchProgram(findProfile(name),
+                                       ArtifactCache::instance());
     });
     return *slot.bench;
 }

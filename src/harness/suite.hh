@@ -135,10 +135,13 @@ std::string benchTraceKey(const BenchmarkProfile &profile, u64 trace_cap);
  * to an uncached build either way. Suite::get() wraps this with the
  * process-wide cache; benches use private cache instances to measure
  * cold against warm.
+ * @param profile the benchmark's profile; the result points at it, so
+ *        it must outlive the result
  * @param trace_cap recorded-trace entry cap; 0 means Suite::traceInsns()
  */
 std::unique_ptr<BenchProgram> buildBenchProgram(
-    const std::string &name, const ArtifactCache &cache, u64 trace_cap = 0);
+    const BenchmarkProfile &profile, const ArtifactCache &cache,
+    u64 trace_cap = 0);
 
 /** Everything a table needs from one timed run. */
 struct RunOutcome

@@ -594,9 +594,8 @@ runPlan(const std::vector<TableSpec> &specs, unsigned threads)
 
     // The union of every table's requests, one cell per distinct
     // cellKey, in first-request order; slots[t][i] is the cell of table
-    // t's request i. An injected fault or a live soft-error domain
-    // changes a cell's outcome but not its key, so such a request
-    // keeps a cell of its own.
+    // t's request i. An injected fault changes a cell's outcome but not
+    // its key, so such a request keeps a cell of its own.
     PlanCounts counts;
     counts.tables = specs.size();
     Matrix unique;
@@ -606,8 +605,7 @@ runPlan(const std::vector<TableSpec> &specs, unsigned threads)
         for (const RunRequest &req : matrices[t].requests()) {
             ++counts.requested;
             size_t slot = unique.size();
-            if (req.injectFault == CellFault::None &&
-                req.cfg.decomp.softErrorDomain == nullptr)
+            if (req.injectFault == CellFault::None)
                 slot = slotOfKey.try_emplace(cellKey(req), slot)
                            .first->second;
             if (slot == unique.size())

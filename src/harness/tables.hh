@@ -43,11 +43,10 @@ struct PlanCounts
 
 /**
  * Merges the requests of all @p specs by cellKey (never one with an
- * injected fault or a live soft-error domain, which the key cannot
- * tell apart), runs the distinct cells as one matrix, and prints the
- * tables in order, one blank line apart, each from its own outcomes.
- * Then reports each failed distinct cell once and writes one stderr
- * line of counts.
+ * injected fault, which the key cannot tell apart), runs the distinct
+ * cells as one matrix, and prints the tables in order, one blank line
+ * apart, each from its own outcomes. Then reports each failed distinct
+ * cell once and writes one stderr line of counts.
  * @param threads worker count; 0 means defaultThreadCount()
  */
 PlanCounts runPlan(const std::vector<TableSpec> &specs,

@@ -63,13 +63,9 @@ enum class RunStatus : u8
 {
     Ok = 0,
     Stalled = 1, ///< the progress watchdog saw no retirement for too long
-    /** The decompressor hit an unrecoverable in-memory corruption
-     *  (ECC/CRC detected, refetch budget exhausted); cycle counts after
-     *  the fault are meaningless and the run must not be trusted. */
-    DecodeFault = 2,
 };
 
-/** Short stable name for a status ("ok", "stalled", "decode-fault"). */
+/** Short stable name for a status ("ok", "stalled"). */
 inline const char *
 runStatusName(RunStatus status)
 {
@@ -78,8 +74,6 @@ runStatusName(RunStatus status)
         return "ok";
       case RunStatus::Stalled:
         return "stalled";
-      case RunStatus::DecodeFault:
-        return "decode-fault";
     }
     return "?";
 }

@@ -161,15 +161,6 @@ Machine::run(u64 max_insns)
                static_cast<unsigned long long>(max_insns));
     RunResult res =
         inorder_ ? inorder_->run(max_insns) : ooo_->run(max_insns);
-    // An unrecoverable in-memory corruption on the decompression path
-    // poisons every cycle count after the fault; the fetch path keeps
-    // delivering finite (meaningless) fills so the pipeline drains, and
-    // the run is condemned here.
-    if (codepack::DecompressorModel *model = decompressor();
-        model && model->softError()) {
-        res.status = RunStatus::DecodeFault;
-        res.statusDetail = model->softErrorDetail().describe();
-    }
     // The pipeline's progress watchdog returns a structured abort
     // instead of spinning; surface it here so even callers that only
     // look at cycles get a diagnosis on stderr.

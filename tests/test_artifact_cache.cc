@@ -411,7 +411,7 @@ TEST(ArtifactCache, BenchBuildColdWarmAndCorruptAreIdentical)
 
     // Cold build computes and populates the cache.
     std::unique_ptr<BenchProgram> cold =
-        buildBenchProgram("pegwit", cache, kCap);
+        buildBenchProgram(findProfile("pegwit"), cache, kCap);
     std::vector<u8> cold_img = codepack::encodeImage(cold->image);
     std::vector<u8> cold_prog = encodeProgram(cold->program);
     ASSERT_TRUE(cold->trace);
@@ -435,7 +435,7 @@ TEST(ArtifactCache, BenchBuildColdWarmAndCorruptAreIdentical)
         EXPECT_TRUE(*loaded == *cold_bytes) << "entry differs: " << key;
     }
     std::unique_ptr<BenchProgram> warm =
-        buildBenchProgram("pegwit", cache, kCap);
+        buildBenchProgram(findProfile("pegwit"), cache, kCap);
     EXPECT_EQ(codepack::encodeImage(warm->image), cold_img);
     EXPECT_EQ(encodeProgram(warm->program), cold_prog);
     ASSERT_TRUE(warm->trace);
@@ -450,7 +450,7 @@ TEST(ArtifactCache, BenchBuildColdWarmAndCorruptAreIdentical)
         ASSERT_TRUE(writeFileBytes(e.path().string(), *bytes));
     }
     std::unique_ptr<BenchProgram> repaired =
-        buildBenchProgram("pegwit", cache, kCap);
+        buildBenchProgram(findProfile("pegwit"), cache, kCap);
     EXPECT_EQ(codepack::encodeImage(repaired->image), cold_img);
     EXPECT_EQ(encodeProgram(repaired->program), cold_prog);
     ASSERT_TRUE(repaired->trace);
@@ -459,6 +459,6 @@ TEST(ArtifactCache, BenchBuildColdWarmAndCorruptAreIdentical)
     // A disabled cache recomputes from scratch to the same bytes.
     ArtifactCache off(dir.path, false);
     std::unique_ptr<BenchProgram> uncached =
-        buildBenchProgram("pegwit", off, kCap);
+        buildBenchProgram(findProfile("pegwit"), off, kCap);
     EXPECT_EQ(codepack::encodeImage(uncached->image), cold_img);
 }

@@ -210,6 +210,17 @@ TEST(RunOutcomeEnvelope, RejectsBadVersionAndTruncation)
     std::vector<u8> oversized = bytes;
     oversized.push_back(0);
     EXPECT_FALSE(harness::decodeRunOutcomeChecked(oversized).ok());
+
+    // The status byte follows the version, instructions, cycles and
+    // exit flag; 2 names no RunStatus.
+    constexpr size_t kStatusAt = 1 + 8 + 8 + 1;
+    std::vector<u8> bad_status = bytes;
+    ASSERT_EQ(bad_status[kStatusAt], static_cast<u8>(RunStatus::Ok));
+    bad_status[kStatusAt] = 2;
+    Result<RunOutcome> r = harness::decodeRunOutcomeChecked(bad_status);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().status, DecodeStatus::Malformed);
+    EXPECT_EQ(r.error().byteOffset(), kStatusAt);
 }
 
 // --------------------------------------------------- progress watchdog
@@ -330,9 +341,6 @@ TEST(CellKey, SensitiveToEveryRunParameter)
         CPS_EDIT(c.decomp.perfectIndexCache = true),
         CPS_EDIT(c.decomp.burstIndexFill = true),
         CPS_EDIT(c.decomp.decodeRate += 1),
-        CPS_EDIT(c.decomp.protect = ProtectKind::Crc8),
-        CPS_EDIT(c.decomp.eccCheckCycles += 1),
-        CPS_EDIT(c.decomp.eccCorrectCycles += 1),
         CPS_EDIT(c.software.trapOverhead += 1),
         CPS_EDIT(c.software.cyclesPerInsn += 1),
         CPS_EDIT(c.software.copyCyclesPerInsn += 1),

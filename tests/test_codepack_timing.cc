@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "codepack/resilience.hh"
 #include "codepack/timing.hh"
 #include "common/rng.hh"
 #include "isa/isa.hh"
@@ -295,81 +294,6 @@ TEST(DecompTiming, StatsCountEveryMiss)
     EXPECT_EQ(f.stats.value("decomp.buffer_hits"), 1u);
     EXPECT_EQ(f.stats.value("decomp.insns_decoded"), 2u * kBlockInsns);
 }
-
-TEST(DecompTiming, ProtectionChargesCheckLatencyUniformly)
-{
-    // A clean checked fetch delays every word by exactly
-    // eccCheckCycles relative to the paper's unprotected timing —
-    // and charging zero check cycles reproduces it bit-identically.
-    Fixture base_f;
-    LineFill base =
-        base_f.model(DecompressorConfig{}).handleMiss(kTextBase, 0);
-    for (unsigned check : {0u, 1u, 3u}) {
-        Fixture f;
-        protectImage(f.img, ProtectKind::SecDed);
-        DecompressorConfig cfg;
-        cfg.protect = ProtectKind::SecDed;
-        cfg.eccCheckCycles = check;
-        DecompressorModel m = f.model(cfg);
-        LineFill fill = m.handleMiss(kTextBase, 0);
-        for (unsigned w = 0; w < 8; ++w)
-            EXPECT_EQ(fill.wordReady[w], base.wordReady[w] + check)
-                << "check=" << check << " word " << w;
-        EXPECT_FALSE(m.softError());
-    }
-}
-
-TEST(DecompTiming, CorrectedUpsetPaysCorrectLatency)
-{
-    Fixture base_f;
-    LineFill base =
-        base_f.model(DecompressorConfig{}).handleMiss(kTextBase, 0);
-
-    Fixture f;
-    protectImage(f.img, ProtectKind::SecDed);
-    SoftErrorDomain domain(f.img, /*seed=*/3, /*flip_rate_ppm=*/0, 2);
-    DecompressorConfig cfg;
-    cfg.protect = ProtectKind::SecDed;
-    cfg.softErrorDomain = &domain;
-    // Upset the first stream bit of block 0: SEC-DED corrects it in
-    // place during the fetch, costing check + correct cycles.
-    f.img.bytes[f.img.blocks[0].byteOffset] ^= 0x01;
-    domain.noteCorruption();
-    DecompressorModel m = f.model(cfg);
-    LineFill fill = m.handleMiss(kTextBase, 0);
-    Cycle lat = cfg.eccCheckCycles + cfg.eccCorrectCycles;
-    for (unsigned w = 0; w < 8; ++w)
-        EXPECT_EQ(fill.wordReady[w], base.wordReady[w] + lat);
-    EXPECT_EQ(domain.stats().corrected, 1u);
-    EXPECT_FALSE(m.softError());
-}
-
-TEST(DecompTiming, UnrecoverableUpsetLatchesSoftError)
-{
-    Fixture f;
-    protectImage(f.img, ProtectKind::Crc8);
-    SoftErrorDomain domain(f.img, /*seed=*/3, /*flip_rate_ppm=*/0, 1);
-    DecompressorConfig cfg;
-    cfg.protect = ProtectKind::Crc8;
-    cfg.softErrorDomain = &domain;
-    // Same upset in the working copy and the refetch source: CRC-8
-    // detects on every retry and the model must refuse the block.
-    f.img.bytes[f.img.blocks[0].byteOffset] ^= 0x01;
-    domain.corruptBacking(0, 0);
-    domain.noteCorruption();
-    DecompressorModel m = f.model(cfg);
-    LineFill fill = m.handleMiss(kTextBase, 0);
-    EXPECT_TRUE(m.softError());
-    EXPECT_NE(m.softErrorDetail().describe().find("group 0 block 0"),
-              std::string::npos)
-        << m.softErrorDetail().describe();
-    // The fill is still finite so the pipeline drains; the machine
-    // layer condemns the run to RunStatus::DecodeFault afterwards.
-    for (unsigned w = 0; w < 8; ++w)
-        EXPECT_GT(fill.wordReady[w], 0u);
-    EXPECT_EQ(domain.stats().unrecoverable, 1u);
-}
-
 
 /** Model invariants must hold for every bus width. */
 class DecompTimingBusSweep : public ::testing::TestWithParam<unsigned>

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "codepack/resilience.hh"
 #include "harness/suite.hh"
 
 namespace cps
@@ -368,66 +367,6 @@ TEST_P(BenchSweep, CompressedRunsAreArchitecturallyExact)
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchSweep,
                          ::testing::Values("cc1", "go", "mpeg2enc",
                                            "pegwit", "perl", "vortex"));
-
-TEST(Machine, ProtectedZeroCheckCyclesMatchesUnprotectedCycles)
-{
-    // SEC-DED on, zero upsets, zero modeled check latency: the run
-    // must be cycle-identical to the unprotected machine — protection
-    // changes nothing but the verify pass it charges for.
-    const BenchProgram &b = Suite::instance().get("pegwit");
-    MachineConfig cfg = baseline4Issue();
-    cfg.codeModel = CodeModel::CodePackCustom;
-    cfg.decomp = codepack::DecompressorConfig::optimized();
-    RunOutcome plain = runMachine(b, cfg, 50000);
-
-    codepack::CompressedImage img = b.image;
-    codepack::protectImage(img, ProtectKind::SecDed);
-    codepack::SoftErrorDomain domain(img, /*seed=*/5,
-                                     /*flip_rate_ppm=*/0, 2);
-    cfg.decomp.protect = ProtectKind::SecDed;
-    cfg.decomp.eccCheckCycles = 0;
-    cfg.decomp.softErrorDomain = &domain;
-    Machine machine(b.program, cfg, &img);
-    RunResult res = machine.run(50000);
-    EXPECT_EQ(res.status, RunStatus::Ok);
-    EXPECT_EQ(res.cycles, plain.result.cycles);
-    EXPECT_EQ(res.instructions, plain.result.instructions);
-    EXPECT_EQ(domain.stats().unrecoverable, 0u);
-    EXPECT_EQ(domain.stats().corrected, 0u);
-}
-
-TEST(Machine, UnrecoverableUpsetReportsDecodeFault)
-{
-    // Corrupt every block in both the working memory and the refetch
-    // source under a detect-only CRC: whichever block the run fetches
-    // first is refused, and the machine condemns the whole run instead
-    // of executing wrong instructions.
-    const BenchProgram &b = Suite::instance().get("pegwit");
-    codepack::CompressedImage img = b.image;
-    codepack::protectImage(img, ProtectKind::Crc8);
-    codepack::SoftErrorDomain domain(img, /*seed=*/5,
-                                     /*flip_rate_ppm=*/0, 1);
-    for (u32 f = 0; f < img.numBlocks(); ++f) {
-        if (img.blocks[f].byteLen == 0)
-            continue;
-        img.bytes[img.blocks[f].byteOffset] ^= 0x01;
-        domain.corruptBacking(f, 0);
-    }
-    domain.noteCorruption();
-    MachineConfig cfg = baseline4Issue();
-    cfg.codeModel = CodeModel::CodePackCustom;
-    cfg.decomp = codepack::DecompressorConfig::optimized();
-    cfg.decomp.protect = ProtectKind::Crc8;
-    cfg.decomp.softErrorDomain = &domain;
-    Machine machine(b.program, cfg, &img);
-    RunResult res = machine.run(50000);
-    EXPECT_EQ(res.status, RunStatus::DecodeFault);
-    EXPECT_NE(res.statusDetail.find("group"), std::string::npos)
-        << res.statusDetail;
-    EXPECT_NE(res.statusDetail.find("bit"), std::string::npos)
-        << res.statusDetail;
-    EXPECT_GE(domain.stats().unrecoverable, 1u);
-}
 
 TEST(Suite, CachesGeneratedBenchmarks)
 {
