@@ -68,6 +68,7 @@ traceRun(const Program &prog, const codepack::CompressedImage *img,
     DecodedText text(prog);
     Executor exec(text, mem);
     exec.reset(prog);
+    LiveTraceSource src(exec);
     StatSet stats;
     DataPath data(cfg.dcache, mem, stats);
 
@@ -75,12 +76,12 @@ traceRun(const Program &prog, const codepack::CompressedImage *img,
     if (img) {
         CodePackFetchPath fetch(cfg.icache, *img, mem,
                                 codepack::DecompressorConfig{}, stats);
-        InOrderPipeline pipe(cfg.pipeline, exec, fetch, data, stats);
+        InOrderPipeline pipe(cfg.pipeline, src, fetch, data, stats);
         pipe.setTraceSink(&trace);
         pipe.run(insns);
     } else {
         NativeFetchPath fetch(cfg.icache, mem, stats);
-        InOrderPipeline pipe(cfg.pipeline, exec, fetch, data, stats);
+        InOrderPipeline pipe(cfg.pipeline, src, fetch, data, stats);
         pipe.setTraceSink(&trace);
         pipe.run(insns);
     }

@@ -9,22 +9,6 @@ namespace cps
 namespace codepack
 {
 
-const char *
-fetchCheckName(FetchCheck check)
-{
-    switch (check) {
-      case FetchCheck::Clean:
-        return "clean";
-      case FetchCheck::Corrected:
-        return "corrected";
-      case FetchCheck::Refetched:
-        return "refetched";
-      case FetchCheck::Unrecoverable:
-        return "unrecoverable";
-    }
-    return "?";
-}
-
 namespace
 {
 

@@ -46,9 +46,6 @@ enum class FetchCheck : u8
     Unrecoverable = 3,
 };
 
-/** Stable knob/report spelling ("clean"/"corrected"/...). */
-const char *fetchCheckName(FetchCheck check);
-
 class SoftErrorDomain
 {
   public:
@@ -97,8 +94,6 @@ class SoftErrorDomain
      */
     void corruptBacking(u32 flat, u32 bit_in_block);
 
-    ProtectKind kind() const { return mem_.protectKind; }
-    unsigned maxRetries() const { return maxRetries_; }
     const Stats &stats() const { return stats_; }
 
   private:

@@ -1,6 +1,5 @@
 #include "artifact_cache.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -37,8 +36,8 @@ envelopeHeader(const std::string &key, u32 payload_len)
 
 } // namespace
 
-ArtifactCache::ArtifactCache(std::string dir, bool enabled, u64 max_bytes)
-    : dir_(std::move(dir)), enabled_(enabled), maxBytes_(max_bytes)
+ArtifactCache::ArtifactCache(std::string dir, bool enabled)
+    : dir_(std::move(dir)), enabled_(enabled)
 {
     if (enabled_)
         maintain();
@@ -53,9 +52,7 @@ ArtifactCache::instance()
         if (const char *env = std::getenv("CPS_CACHE_DIR"))
             if (*env != '\0')
                 dir = env;
-        const u64 max_bytes =
-            envUnsigned("CPS_CACHE_MAX_BYTES", 0, 0, ~u64{0});
-        return ArtifactCache(dir, enabled, max_bytes);
+        return ArtifactCache(dir, enabled);
     }();
     return cache;
 }
@@ -69,56 +66,21 @@ ArtifactCache::maintain(u64 tmp_age_seconds) const
     if (ec)
         return; // no directory yet (or unreadable): nothing to clean
 
-    struct Entry
-    {
-        fs::path path;
-        fs::file_time_type mtime;
-        u64 size;
-    };
-    std::vector<Entry> entries;
-    u64 total = 0;
     const auto now = fs::file_time_type::clock::now();
-
     for (const fs::directory_entry &de : it) {
-        if (!de.is_regular_file(ec))
+        if (!de.is_regular_file(ec) ||
+            de.path().filename().string().find(".tmp.") == std::string::npos)
             continue;
-        const std::string name = de.path().filename().string();
         fs::file_time_type mtime = de.last_write_time(ec);
         if (ec)
             continue;
-        if (name.find(".tmp.") != std::string::npos) {
-            // A writer publishes its temp file within milliseconds of
-            // creating it; an old one belongs to a killed process.
-            auto age = std::chrono::duration_cast<std::chrono::seconds>(
-                           now - mtime)
-                           .count();
-            if (age >= 0 && static_cast<u64>(age) >= tmp_age_seconds)
-                fs::remove(de.path(), ec);
-            continue;
-        }
-        if (name.size() > 4 &&
-            name.compare(name.size() - 4, 4, ".art") == 0) {
-            u64 size = de.file_size(ec);
-            if (ec)
-                continue;
-            entries.push_back(Entry{de.path(), mtime, size});
-            total += size;
-        }
-    }
-
-    if (maxBytes_ == 0 || total <= maxBytes_)
-        return;
-    // Evict least-recently-used first. load() touches entries, so
-    // mtime approximates last use well enough for a best-effort bound.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.mtime < b.mtime;
-              });
-    for (const Entry &e : entries) {
-        if (total <= maxBytes_)
-            break;
-        if (fs::remove(e.path, ec))
-            total -= e.size;
+        // A writer publishes its temp file within milliseconds of
+        // creating it; an old one belongs to a killed process.
+        auto age =
+            std::chrono::duration_cast<std::chrono::seconds>(now - mtime)
+                .count();
+        if (age >= 0 && static_cast<u64>(age) >= tmp_age_seconds)
+            fs::remove(de.path(), ec);
     }
 }
 
@@ -150,8 +112,7 @@ ArtifactCache::load(const std::string &key) const
 {
     if (!enabled_)
         return std::nullopt;
-    const std::string path = entryPath(key);
-    FileReader in(path);
+    FileReader in(entryPath(key));
     if (!in.isOpen())
         return std::nullopt; // miss
 
@@ -176,12 +137,6 @@ ArtifactCache::load(const std::string &key) const
     if (crc32(payload.data(), payload.size(), crc32(header)) !=
         loadLe32(trailer))
         return std::nullopt; // bit-flipped entry
-
-    // Touch the entry so LRU eviction (maintain) sees it as recent.
-    std::error_code ec;
-    std::filesystem::last_write_time(
-        path, std::filesystem::file_time_type::clock::now(), ec);
-
     return payload;
 }
 

@@ -29,15 +29,12 @@
  *   u32 CRC-32 over everything above
  *
  * Housekeeping: opening a cache sweeps temp files abandoned by killed
- * writers (any `*.tmp.*` older than an hour), and when a size budget is
- * configured it evicts entries least-recently-used first (mtime order;
- * load() touches entries it returns). Both are best-effort — a cache
- * that cannot be cleaned still works, it just wastes disk.
+ * writers (any `*.tmp.*` older than an hour). It is best-effort — a
+ * cache that cannot be cleaned still works, it just wastes disk.
  *
  * Knobs: CPS_CACHE_DIR overrides the directory (default ".cps-cache"
  * under the working directory); CPS_ARTIFACT_CACHE=0 disables the cache
- * entirely (loads miss, stores are no-ops); CPS_CACHE_MAX_BYTES bounds
- * the total size of entries (0, the default, is unlimited).
+ * entirely (loads miss, stores are no-ops).
  */
 
 #ifndef CPS_COMMON_ARTIFACT_CACHE_HH
@@ -62,10 +59,8 @@ class ArtifactCache
      * @param enabled when false, load() always misses and store() is a
      *        no-op — the recompute path runs as if the cache never
      *        existed
-     * @param max_bytes entry-size budget enforced (best-effort, LRU by
-     *        mtime) when the cache is opened; 0 means unlimited
      */
-    ArtifactCache(std::string dir, bool enabled, u64 max_bytes = 0);
+    ArtifactCache(std::string dir, bool enabled);
 
     /** The process-wide instance, configured once from the environment
      *  (CPS_CACHE_DIR, CPS_ARTIFACT_CACHE). */
@@ -99,17 +94,15 @@ class ArtifactCache
     /**
      * Housekeeping pass, run automatically at construction: removes
      * `*.tmp.*` files older than @p tmp_age_seconds (killed writers
-     * never publish their temp file, so anything old is garbage) and,
-     * when a size budget is set, evicts `.art` entries oldest-mtime
-     * first until the total fits. Best-effort: every filesystem error
-     * is swallowed. Exposed for tests.
+     * never publish their temp file, so anything old is garbage).
+     * Best-effort: every filesystem error is swallowed. Exposed for
+     * tests.
      */
     void maintain(u64 tmp_age_seconds = 3600) const;
 
   private:
     std::string dir_;
     bool enabled_;
-    u64 maxBytes_;
 };
 
 } // namespace cps

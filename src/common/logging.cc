@@ -16,7 +16,6 @@ namespace
 {
 
 std::atomic<unsigned long> numWarnings{0};
-std::atomic<bool> quietMode{false};
 
 // Diagnostics from worker threads must not interleave: each message is
 // fully formatted first, then written to stderr in a single fputs under
@@ -98,25 +97,11 @@ void
 warnImpl(const char *fmt, ...)
 {
     numWarnings.fetch_add(1, std::memory_order_relaxed);
-    if (quietMode.load(std::memory_order_relaxed))
-        return;
     std::va_list ap;
     va_start(ap, fmt);
     std::string msg = vstrfmt(fmt, ap);
     va_end(ap);
     writeLine("warn: " + msg + "\n");
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    if (quietMode.load(std::memory_order_relaxed))
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    writeLine("info: " + msg + "\n");
 }
 
 unsigned long
@@ -183,12 +168,6 @@ parseUnsignedOption(const char *option, const std::string &value, u64 min,
                   static_cast<unsigned long long>(min),
                   static_cast<unsigned long long>(max), s);
     return static_cast<u64>(v);
-}
-
-void
-setQuiet(bool quiet)
-{
-    quietMode.store(quiet, std::memory_order_relaxed);
 }
 
 } // namespace cps

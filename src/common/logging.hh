@@ -6,7 +6,6 @@
  * fatal()  - the user asked for something impossible (bad configuration,
  *            malformed input). Exits with an error code.
  * warn()   - something questionable happened but simulation can continue.
- * inform() - a status message with no negative connotation.
  */
 
 #ifndef CPS_COMMON_LOGGING_HH
@@ -35,8 +34,6 @@ std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
     __attribute__((format(printf, 3, 4)));
 
 void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Count of warn() calls so far, exposed so tests can assert on warnings. */
 unsigned long warnCount();
@@ -80,9 +77,6 @@ bool envFlag(const char *name, bool fallback);
 u64 parseUnsignedOption(const char *option, const std::string &value,
                         u64 min, u64 max, int base = 10);
 
-/** Silence warn()/inform() output (counters still advance). */
-void setQuiet(bool quiet);
-
 } // namespace cps
 
 // The macros live outside the namespace so call sites read naturally.
@@ -90,7 +84,6 @@ void setQuiet(bool quiet);
 #define cps_panic(...) ::cps::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define cps_fatal(...) ::cps::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define cps_warn(...) ::cps::warnImpl(__VA_ARGS__)
-#define cps_inform(...) ::cps::informImpl(__VA_ARGS__)
 
 /**
  * Assert that is kept in release builds; reports via panic(). A printf

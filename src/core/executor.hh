@@ -69,7 +69,6 @@ class Executor
 
     /** Text written by print syscalls. */
     const std::string &output() const { return output_; }
-    void clearOutput() { output_.clear(); }
 
     /** Dynamic instruction counts per class (profiling / Table 1). */
     struct MixStats

@@ -229,14 +229,6 @@ class TraceReplaySource final : public TraceSource
 
     const DecodedText &text() const override { return text_; }
 
-    /** Restarts the stream from the first entry. */
-    void
-    rewind()
-    {
-        cursor_ = 0;
-        halted_ = false;
-    }
-
   private:
     const TraceBuffer &trace_;
     const DecodedText &text_;

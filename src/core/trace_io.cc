@@ -1,8 +1,9 @@
 /**
  * @file
  * TraceBuffer (de)serialization for the artifact cache: pregeneration
- * records each benchmark's functional trace once, and warm runs load it
- * from disk instead of re-executing up to CPS_TRACE_INSNS instructions.
+ * records each benchmark's functional trace once, up to
+ * Suite::traceInsns() entries, and warm runs load it from disk instead
+ * of executing the program again to record it.
  *
  * Container layout (little-endian):
  *

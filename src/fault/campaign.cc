@@ -8,22 +8,6 @@ namespace cps
 namespace fault
 {
 
-const char *
-outcomeName(Outcome outcome)
-{
-    switch (outcome) {
-      case Outcome::DetectedAtLoad:
-        return "detected@load";
-      case Outcome::RejectedInDecode:
-        return "rejected";
-      case Outcome::SilentlyCorrect:
-        return "benign";
-      case Outcome::SilentlyWrong:
-        return "silently-wrong";
-    }
-    return "unknown";
-}
-
 namespace
 {
 

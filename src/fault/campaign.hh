@@ -40,9 +40,6 @@ enum class Outcome
 
 constexpr unsigned kNumOutcomes = 4;
 
-/** Column heading for an outcome. */
-const char *outcomeName(Outcome outcome);
-
 /** Campaign parameters. */
 struct CampaignConfig
 {

@@ -17,24 +17,6 @@ using codepack::FetchCheck;
 using codepack::kBlocksPerGroup;
 using codepack::SoftErrorDomain;
 
-const char *
-softOutcomeName(SoftOutcome outcome)
-{
-    switch (outcome) {
-      case SoftOutcome::Clean:
-        return "clean";
-      case SoftOutcome::Corrected:
-        return "corrected";
-      case SoftOutcome::Refetched:
-        return "refetched";
-      case SoftOutcome::DetectedUnrecoverable:
-        return "detected";
-      case SoftOutcome::SilentWrong:
-        return "silent-wrong";
-    }
-    return "unknown";
-}
-
 namespace
 {
 

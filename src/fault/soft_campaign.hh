@@ -49,9 +49,6 @@ enum class SoftOutcome
 
 constexpr unsigned kNumSoftOutcomes = 5;
 
-/** Column heading for an outcome. */
-const char *softOutcomeName(SoftOutcome outcome);
-
 /** Soft-error campaign parameters. */
 struct SoftCampaignConfig
 {
@@ -87,15 +84,6 @@ struct SoftCampaignResult
     unsigned silentWrong() const
     {
         return count(SoftOutcome::SilentWrong);
-    }
-
-    /** Upsets the path either fixed or loudly refused to decode. */
-    unsigned
-    detectedOrRecovered() const
-    {
-        return count(SoftOutcome::Corrected) +
-               count(SoftOutcome::Refetched) +
-               count(SoftOutcome::DetectedUnrecoverable);
     }
 };
 

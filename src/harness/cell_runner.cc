@@ -184,26 +184,6 @@ fromRunOutcome(RunOutcome run, unsigned attempt)
 
 } // namespace
 
-const char *
-cellStateName(CellState state)
-{
-    switch (state) {
-      case CellState::Ok:
-        return "ok";
-      case CellState::Crashed:
-        return "crashed";
-      case CellState::ExitedError:
-        return "exited";
-      case CellState::Timeout:
-        return "timeout";
-      case CellState::ProtocolError:
-        return "protocol-error";
-      case CellState::Stalled:
-        return "stalled";
-    }
-    return "?";
-}
-
 std::string
 CellStatus::describe() const
 {
@@ -291,9 +271,12 @@ encodeRunOutcome(const RunOutcome &out)
 Result<RunOutcome>
 decodeRunOutcomeChecked(const std::vector<u8> &bytes)
 {
+    // A field the envelope ends before reads as 0 with the cursor
+    // failed; the last check reports that as Truncated, so the version
+    // and status checks judge only bytes that are there.
     ByteCursor cur(bytes);
     u8 version = cur.get8();
-    if (!cur.ok() || version != kEnvelopeVersion) {
+    if (cur.ok() && version != kEnvelopeVersion) {
         return decodeErrorAtByte(DecodeStatus::BadVersion, 0,
                                  "result envelope version %u (want %u)",
                                  version, kEnvelopeVersion);
@@ -304,7 +287,7 @@ decodeRunOutcomeChecked(const std::vector<u8> &bytes)
     out.result.programExited = cur.get8() != 0;
     const size_t status_at = cur.pos();
     u8 status = cur.get8();
-    if (!cur.ok() || status > static_cast<u8>(RunStatus::Stalled)) {
+    if (cur.ok() && status > static_cast<u8>(RunStatus::Stalled)) {
         return decodeErrorAtByte(DecodeStatus::Malformed, status_at,
                                  "bad run status %u", status);
     }

@@ -75,9 +75,6 @@ enum class CellState : u8
     Stalled,       ///< the in-simulator progress watchdog tripped
 };
 
-/** Short stable name for a state ("ok", "crashed", "timeout", ...). */
-const char *cellStateName(CellState state);
-
 /** Structured account of one cell's execution (final attempt). */
 struct CellStatus
 {

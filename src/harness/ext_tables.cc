@@ -55,7 +55,8 @@ runWithCodec(const BenchProgram &bench, const compress::LineCodec &codec)
     }
     Executor exec(bench.text(), mem);
     exec.reset(bench.program);
-    return OoOPipeline(cfg.pipeline, exec, fetch, data, stats).run(insns);
+    LiveTraceSource src(exec);
+    return OoOPipeline(cfg.pipeline, src, fetch, data, stats).run(insns);
 }
 
 std::string
@@ -683,11 +684,12 @@ extSeedRobustness(Matrix &m)
 
     // Each reseeded program builds through the artifact cache like a
     // standard benchmark, with a trace of the run plus the fetch-ahead
-    // slack Suite::traceInsns() leaves, capped by that knob (at 0 none
-    // is recorded). The five are independent, so they build in
-    // parallel. The requests point into `rolls`, which the printer
-    // keeps alive, at fixed addresses, for as long as the plan runs.
-    const u64 trace_cap = std::min(Suite::traceInsns(), insns + 4096);
+    // slack, capped by Suite::traceInsns() (at 0 none is recorded).
+    // The five are independent, so they build in parallel. The
+    // requests point into `rolls`, which the printer keeps alive, at
+    // fixed addresses, for as long as the plan runs.
+    const u64 trace_cap =
+        std::min(Suite::traceInsns(), insns + Suite::kFetchAheadSlack);
     auto rolls = std::make_shared<std::vector<Reroll>>(nseeds);
     {
         ThreadPool pool;

@@ -121,7 +121,7 @@ buildBenchProgram(const BenchmarkProfile &profile,
     // machine configuration replays the same immutable buffer
     // (published by the caller's once-flag, so cross-thread reads are
     // safe).
-    if (Suite::replayEnabled() && trace_cap > 0) {
+    if (trace_cap > 0) {
         const std::string trace_key =
             benchTraceKey(*bench->profile, trace_cap);
         if (auto bytes = cache.load(trace_key)) {
@@ -192,18 +192,8 @@ Suite::runInsns()
 u64
 Suite::traceInsns()
 {
-    // Slack past runInsns() so an OoO front end fetching ahead of its
-    // commit budget never outruns a truncated trace (see
-    // replayLookahead; 4096 covers any plausible RUU depth).
     static const u64 cached = envUnsigned(
-        "CPS_TRACE_INSNS", runInsns() + 4096, 0, kMaxInsnsKnob);
-    return cached;
-}
-
-bool
-Suite::replayEnabled()
-{
-    static const bool cached = envFlag("CPS_REPLAY", true);
+        "CPS_TRACE_INSNS", runInsns() + kFetchAheadSlack, 0, kMaxInsnsKnob);
     return cached;
 }
 
@@ -211,8 +201,7 @@ const TraceBuffer *
 replayTrace(const BenchProgram &bench, const MachineConfig &cfg,
             u64 max_insns)
 {
-    if (bench.trace && bench.trace->covers(max_insns, replayLookahead(cfg)) &&
-        Suite::replayEnabled())
+    if (bench.trace && bench.trace->covers(max_insns, replayLookahead(cfg)))
         return bench.trace.get();
     return nullptr;
 }

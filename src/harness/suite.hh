@@ -87,19 +87,17 @@ class Suite
 
     /**
      * Trace-entry cap per benchmark (the trace-replay memory knob, 8
-     * bytes per entry). Defaults to runInsns() plus enough slack to
-     * cover the deepest OoO fetch-ahead; override with CPS_TRACE_INSNS
-     * (0 to 2^40; 0 disables recording entirely). Runs longer than the
-     * recorded trace fall back to live execution.
+     * bytes per entry). Defaults to runInsns() + kFetchAheadSlack;
+     * override with CPS_TRACE_INSNS (0 to 2^40). 0 records no trace,
+     * so every run executes live: the one live switch. Runs longer
+     * than the recorded trace fall back to live execution.
      */
     static u64 traceInsns();
 
-    /**
-     * Whether timed runs replay pregenerated traces (CPS_REPLAY, on by
-     * default; see envFlag). Disabling also skips
-     * recording, so CPS_REPLAY=0 restores the pre-trace behaviour.
-     */
-    static bool replayEnabled();
+    /** Trace entries recorded past a run's length, so an OoO front end
+     *  fetching ahead of its commit budget never outruns a truncated
+     *  trace (see replayLookahead; covers any plausible RUU depth). */
+    static constexpr u64 kFetchAheadSlack = 4096;
 
   private:
     Suite();
@@ -161,9 +159,9 @@ struct RunOutcome
 
 /**
  * The recorded trace a run of @p bench under @p cfg replays: bench.trace
- * when replay is enabled and the trace covers a @p max_insns run (see
- * TraceBuffer::covers / replayLookahead), otherwise null, and the run
- * executes the functional core live.
+ * when the trace covers a @p max_insns run (see TraceBuffer::covers /
+ * replayLookahead), otherwise null, and the run executes the
+ * functional core live.
  */
 const TraceBuffer *replayTrace(const BenchProgram &bench,
                                const MachineConfig &cfg, u64 max_insns);

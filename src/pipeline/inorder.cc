@@ -15,16 +15,6 @@ InOrderPipeline::InOrderPipeline(const PipelineConfig &cfg, TraceSource &src,
       statCycles_(stats.scalar("pipeline.cycles"))
 {}
 
-InOrderPipeline::InOrderPipeline(const PipelineConfig &cfg, Executor &exec,
-                                 FetchPath &fetch, DataPath &data,
-                                 StatSet &stats)
-    : cfg_(cfg), ownedSrc_(std::make_unique<LiveTraceSource>(exec)),
-      src_(*ownedSrc_), fetch_(fetch), data_(data),
-      frontend_(cfg.predictor, stats),
-      statInsns_(stats.scalar("pipeline.insns")),
-      statCycles_(stats.scalar("pipeline.cycles"))
-{}
-
 RunResult
 InOrderPipeline::run(u64 max_insns)
 {

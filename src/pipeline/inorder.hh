@@ -17,7 +17,6 @@
 #ifndef CPS_PIPELINE_INORDER_HH
 #define CPS_PIPELINE_INORDER_HH
 
-#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -47,10 +46,6 @@ class InOrderPipeline
     InOrderPipeline(const PipelineConfig &cfg, TraceSource &src,
                     FetchPath &fetch, DataPath &data, StatSet &stats);
 
-    /** Convenience: drives @p exec through an owned live source. */
-    InOrderPipeline(const PipelineConfig &cfg, Executor &exec,
-                    FetchPath &fetch, DataPath &data, StatSet &stats);
-
     /**
      * Runs until @p max_insns instructions retire or the program exits.
      */
@@ -66,7 +61,6 @@ class InOrderPipeline
   private:
     std::vector<PipeTraceEntry> *trace_ = nullptr;
     PipelineConfig cfg_;
-    std::unique_ptr<LiveTraceSource> ownedSrc_; ///< Executor-ctor wrapper
     TraceSource &src_;
     FetchPath &fetch_;
     DataPath &data_;

@@ -12,20 +12,8 @@ namespace cps
 
 OoOPipeline::OoOPipeline(const PipelineConfig &cfg, TraceSource &src,
                          FetchPath &fetch, DataPath &data, StatSet &stats)
-    : OoOPipeline(cfg, &src, nullptr, fetch, data, stats)
-{}
-
-OoOPipeline::OoOPipeline(const PipelineConfig &cfg, Executor &exec,
-                         FetchPath &fetch, DataPath &data, StatSet &stats)
-    : OoOPipeline(cfg, nullptr, std::make_unique<LiveTraceSource>(exec),
-                  fetch, data, stats)
-{}
-
-OoOPipeline::OoOPipeline(const PipelineConfig &cfg, TraceSource *src,
-                         std::unique_ptr<LiveTraceSource> live,
-                         FetchPath &fetch, DataPath &data, StatSet &stats)
-    : cfg_(cfg), ownedSrc_(std::move(live)), src_(src ? *src : *ownedSrc_),
-      fetch_(fetch), data_(data), frontend_(cfg.predictor, stats),
+    : cfg_(cfg), src_(src), fetch_(fetch), data_(data),
+      frontend_(cfg.predictor, stats),
       statInsns_(stats.scalar("pipeline.insns")),
       statCycles_(stats.scalar("pipeline.cycles"))
 {

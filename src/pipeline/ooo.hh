@@ -37,7 +37,7 @@
 #ifndef CPS_PIPELINE_OOO_HH
 #define CPS_PIPELINE_OOO_HH
 
-#include <memory>
+#include <array>
 #include <vector>
 
 #include "common/stats.hh"
@@ -69,10 +69,6 @@ class OoOPipeline
     OoOPipeline(const PipelineConfig &cfg, TraceSource &src,
                 FetchPath &fetch, DataPath &data, StatSet &stats);
 
-    /** Convenience: drives @p exec through an owned live source. */
-    OoOPipeline(const PipelineConfig &cfg, Executor &exec, FetchPath &fetch,
-                DataPath &data, StatSet &stats);
-
     /** Runs until @p max_insns instructions commit or the program exits. */
     RunResult run(u64 max_insns);
 
@@ -81,11 +77,6 @@ class OoOPipeline
     void setTraceSink(std::vector<OooTraceEntry> *sink) { trace_ = sink; }
 
   private:
-    /** The one set-up path: @p src when given, else the owned @p live. */
-    OoOPipeline(const PipelineConfig &cfg, TraceSource *src,
-                std::unique_ptr<LiveTraceSource> live, FetchPath &fetch,
-                DataPath &data, StatSet &stats);
-
     std::vector<OooTraceEntry> *trace_ = nullptr;
     /** Function-unit pools, indexed by FuPool. */
     enum FuPool : unsigned
@@ -142,7 +133,6 @@ class OoOPipeline
     bool nonPipelined(InstClass cls) const;
 
     PipelineConfig cfg_;
-    std::unique_ptr<LiveTraceSource> ownedSrc_; ///< Executor-ctor wrapper
     TraceSource &src_;
     FetchPath &fetch_;
     DataPath &data_;

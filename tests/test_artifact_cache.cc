@@ -9,7 +9,6 @@
  * whole-file writer's failure reporting, which store() relies on.
  */
 
-#include <chrono>
 #include <filesystem>
 #include <thread>
 
@@ -224,51 +223,6 @@ TEST(ArtifactCache, MaintainSweepsAbandonedTempFiles)
     cache.maintain(/*tmp_age_seconds=*/0);
     EXPECT_FALSE(std::filesystem::exists(stale));
     EXPECT_TRUE(cache.load("keep").has_value());
-}
-
-TEST(ArtifactCache, SizeBudgetEvictsLeastRecentlyUsedFirst)
-{
-    namespace fs = std::filesystem;
-    ScratchDir dir("evict");
-    ArtifactCache unbounded(dir.path, true);
-    ASSERT_TRUE(unbounded.store("old", somePayload(4000, 1)));
-    ASSERT_TRUE(unbounded.store("mid", somePayload(4000, 2)));
-    ASSERT_TRUE(unbounded.store("new", somePayload(4000, 3)));
-
-    // Spread the mtimes so LRU order is unambiguous.
-    const auto now = fs::file_time_type::clock::now();
-    fs::last_write_time(unbounded.entryPath("old"),
-                        now - std::chrono::hours(3));
-    fs::last_write_time(unbounded.entryPath("mid"),
-                        now - std::chrono::hours(2));
-    fs::last_write_time(unbounded.entryPath("new"),
-                        now - std::chrono::hours(1));
-
-    // Opening a budgeted cache evicts oldest-first until under budget:
-    // three ~4KB entries against ~9KB keeps the two most recent.
-    ArtifactCache bounded(dir.path, true, /*max_bytes=*/9000);
-    EXPECT_FALSE(bounded.load("old").has_value());
-    EXPECT_TRUE(bounded.load("mid").has_value());
-    EXPECT_TRUE(bounded.load("new").has_value());
-
-    // Already under budget: another open evicts nothing.
-    ArtifactCache again(dir.path, true, /*max_bytes=*/9000);
-    EXPECT_TRUE(again.load("mid").has_value());
-    EXPECT_TRUE(again.load("new").has_value());
-}
-
-TEST(ArtifactCache, LoadTouchesEntryToRefreshLruRank)
-{
-    namespace fs = std::filesystem;
-    ScratchDir dir("touch");
-    ArtifactCache cache(dir.path, true);
-    ASSERT_TRUE(cache.store("entry", somePayload(100, 1)));
-    fs::last_write_time(cache.entryPath("entry"),
-                        fs::file_time_type::clock::now() -
-                            std::chrono::hours(10));
-    auto before = fs::last_write_time(cache.entryPath("entry"));
-    ASSERT_TRUE(cache.load("entry").has_value());
-    EXPECT_GT(fs::last_write_time(cache.entryPath("entry")), before);
 }
 
 TEST(ArtifactCache, KeyHashSpreadsAndEntryKeyIsChecked)

@@ -204,8 +204,17 @@ TEST(RunOutcomeEnvelope, RejectsBadVersionAndTruncation)
     bad_version[0] = 99;
     EXPECT_FALSE(harness::decodeRunOutcomeChecked(bad_version).ok());
 
-    std::vector<u8> truncated(bytes.begin(), bytes.end() - 5);
-    EXPECT_FALSE(harness::decodeRunOutcomeChecked(truncated).ok());
+    // Every proper prefix is Truncated, wherever the cut falls: the
+    // empty envelope, a cut at or before the status byte, or one in
+    // the tail.
+    for (size_t n = 0; n < bytes.size(); ++n) {
+        std::vector<u8> prefix(bytes.begin(),
+                               bytes.begin() + static_cast<long>(n));
+        Result<RunOutcome> r = harness::decodeRunOutcomeChecked(prefix);
+        ASSERT_FALSE(r.ok()) << n << "-byte prefix";
+        EXPECT_EQ(r.error().status, DecodeStatus::Truncated)
+            << n << "-byte prefix";
+    }
 
     std::vector<u8> oversized = bytes;
     oversized.push_back(0);

@@ -204,8 +204,8 @@ TEST_P(OooGoldenProfile, Table5CellsMatchGolden)
                                 CodeModel::CodePackOptimized}) {
             MachineConfig cfg = base.withCodeModel(model);
             // The matrix's arrangement, as runMachine builds it. Without
-            // a covering trace (CPS_REPLAY=0) the machine runs live,
-            // which is timing-identical to replay.
+            // a covering trace (CPS_TRACE_INSNS=0) the machine runs
+            // live, which is timing-identical to replay.
             Machine m(bench.program, bench.text(), cfg,
                       imageFor(bench.image, model),
                       replayTrace(bench, cfg, kInsns));

@@ -23,14 +23,15 @@ struct TimedEnv
     MainMemory mem;
     DecodedText text;
     Executor exec;
+    LiveTraceSource src;
     StatSet stats;
     NativeFetchPath fetch;
     DataPath data;
 
-    explicit TimedEnv(const std::string &src,
+    explicit TimedEnv(const std::string &asm_src,
                       CacheConfig icache = CacheConfig{16 * 1024, 32, 2})
-        : prog(assembleOrDie(src)), text(prog), exec(text, mem),
-          fetch(icache, mem, stats),
+        : prog(assembleOrDie(asm_src)), text(prog), exec(text, mem),
+          src(exec), fetch(icache, mem, stats),
           data(CacheConfig{16 * 1024, 16, 2}, mem, stats)
     {
         mem.loadSegment(prog.text);
@@ -42,7 +43,7 @@ struct TimedEnv
     runInOrder(u64 max = 1000000)
     {
         PipelineConfig cfg = baseline1Issue().pipeline;
-        InOrderPipeline pipe(cfg, exec, fetch, data, stats);
+        InOrderPipeline pipe(cfg, src, fetch, data, stats);
         return pipe.run(max);
     }
 
@@ -51,7 +52,7 @@ struct TimedEnv
     {
         PipelineConfig cfg = width == 8 ? baseline8Issue().pipeline
                                         : baseline4Issue().pipeline;
-        OoOPipeline pipe(cfg, exec, fetch, data, stats);
+        OoOPipeline pipe(cfg, src, fetch, data, stats);
         return pipe.run(max);
     }
 };
@@ -349,8 +350,8 @@ TEST(OoO, SmallerRuuHurtsMemoryLevelParallelism)
     PipelineConfig small_cfg = big_cfg;
     small_cfg.ruuSize = 4;
     small_cfg.lsqSize = 2;
-    OoOPipeline pb(big_cfg, big.exec, big.fetch, big.data, big.stats);
-    OoOPipeline ps(small_cfg, small.exec, small.fetch, small.data,
+    OoOPipeline pb(big_cfg, big.src, big.fetch, big.data, big.stats);
+    OoOPipeline ps(small_cfg, small.src, small.fetch, small.data,
                    small.stats);
     RunResult rb = pb.run(100000);
     RunResult rs = ps.run(100000);
@@ -367,7 +368,7 @@ TEST(OoO, LsqLimitCapsOutstandingMemOps)
     TimedEnv env(src);
     PipelineConfig cfg = baseline4Issue().pipeline;
     cfg.lsqSize = 4;
-    OoOPipeline pipe(cfg, env.exec, env.fetch, env.data, env.stats);
+    OoOPipeline pipe(cfg, env.src, env.fetch, env.data, env.stats);
     RunResult r = pipe.run(100000);
     EXPECT_TRUE(r.programExited);
     EXPECT_EQ(r.instructions, 64u + 4u);
@@ -410,7 +411,7 @@ main:
 )");
     std::vector<PipeTraceEntry> trace;
     PipelineConfig cfg = baseline1Issue().pipeline;
-    InOrderPipeline pipe(cfg, env.exec, env.fetch, env.data, env.stats);
+    InOrderPipeline pipe(cfg, env.src, env.fetch, env.data, env.stats);
     pipe.setTraceSink(&trace);
     pipe.run(100);
     ASSERT_EQ(trace.size(), 4u);
@@ -440,7 +441,7 @@ main:
 )");
     std::vector<OooTraceEntry> trace;
     PipelineConfig cfg = baseline4Issue().pipeline;
-    OoOPipeline pipe(cfg, env.exec, env.fetch, env.data, env.stats);
+    OoOPipeline pipe(cfg, env.src, env.fetch, env.data, env.stats);
     pipe.setTraceSink(&trace);
     pipe.run(100);
     ASSERT_EQ(trace.size(), 5u);
